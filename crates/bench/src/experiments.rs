@@ -522,11 +522,11 @@ pub fn ablation_devices(cfg: &ExperimentConfig) -> Vec<DeviceRow> {
             }),
             ("Naumov/Color_JPL", {
                 let dev = Device::new(dcfg);
-                gc_core::naumov::jpl_on(&dev, &g, cfg.seed)
+                gc_core::naumov::jpl_on(&dev, &g, cfg.seed, true)
             }),
             ("GraphBLAST/Color_MIS", {
                 let dev = Device::new(dcfg);
-                gc_core::gblas_mis::run_on(&dev, &g, cfg.seed)
+                gc_core::gblas_mis::run_on(&dev, &g, cfg.seed, true)
             }),
         ];
         for (iname, r) in runs {

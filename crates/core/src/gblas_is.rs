@@ -8,13 +8,14 @@
 //! frontier is empty, and otherwise colors the frontier and zeroes its
 //! weights with two masked `assign`s.
 //!
-//! The default path keeps a compacted [`ActiveList`] of still-uncolored
-//! vertices and runs the list-restricted ops over it, so each round's
-//! work shrinks with the candidate set; the new-member contraction's
-//! output length doubles as the empty-frontier test, replacing the
-//! full-width `reduce`. [`run_on_full`] preserves the paper's full-width
-//! transcription for comparison (every op spans all `n` rows every
-//! round).
+//! One body runs every [`Variant`]. The default keeps a compacted
+//! [`ActiveList`] of still-uncolored vertices and runs the
+//! list-restricted ops over it, so each round's work shrinks with the
+//! candidate set; the contraction's output length doubles as the
+//! empty-frontier test, replacing the full-width `reduce`.
+//! [`Variant::FullWidth`] is the paper's transcription (every op spans
+//! all `n` rows every round), and [`Variant::ShortCut`] swaps the
+//! compacted round's commit rule from round-indexed to first-fit.
 
 use gc_graph::Csr;
 use gc_graphblas::{ops, ActiveList, Descriptor, Matrix, MaxTimes, Vector};
@@ -26,39 +27,77 @@ use crate::color::ColoringResult;
 /// Safety cap on colors (the paper's `for color = 1..n`).
 const MAX_COLORS: u32 = 100_000;
 
+/// Launch shape and commit rule of one Algorithm 2 run.
+///
+/// First-fit commits exist only on the compacted shape: the full-width
+/// transcription is the paper's round-indexed baseline and nothing else.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Variant {
+    /// The paper's transcription: every op spans all `n` rows every
+    /// round, a full-width `reduce(+)` tests frontier emptiness, and
+    /// winners take the round index.
+    FullWidth,
+    /// Compacted active list, one captured round per iteration,
+    /// round-indexed commits (the default).
+    #[default]
+    Compacted,
+    /// Compacted like [`Variant::Compacted`], but each Luby winner
+    /// first-fits into the lowest color absent from its neighborhood
+    /// (short-cutting; the quality tier's `GraphBLAST/Color_IS_SC`).
+    ShortCut,
+}
+
 /// Runs Algorithm 2 on a fresh K40c-model device.
 pub fn gblas_is(g: &Csr, seed: u64) -> ColoringResult {
     let dev = Device::k40c();
-    run_on(&dev, g, seed)
+    run_on(&dev, g, seed, Variant::Compacted)
 }
 
-/// Runs Algorithm 2 on the provided device with the compacted
-/// active-vertex list (the default path).
+/// Runs Algorithm 2 on the provided device.
 ///
-/// The whole per-round pipeline is two fused kernels, captured once as
-/// a [`gc_vgpu::LaunchGraph`] and replayed each round so the fixed
-/// launch/sync overhead is paid once per round instead of once per op:
+/// On the compacted variants the whole per-round pipeline is two fused
+/// kernels, captured once as a [`gc_vgpu::LaunchGraph`] and replayed
+/// each round so the fixed launch/sync overhead is paid once per round
+/// instead of once per op:
 ///
 /// 1. `vxm_apply_list` computes each active vertex's max live neighbor
 ///    weight and the "beats its neighborhood" test in one kernel (the
-///    old `vxm_list` + `ewise_add_list` pair, minus the intermediate
-///    `max` vector);
-/// 2. `assign_where_compact` colors the winners, zeroes their weights,
-///    and contracts them out of the active list in one fused
-///    compaction (the old two assigns + contraction).
+///    full-width `vxm` + `ewise_add` pair, minus the intermediate `max`
+///    vector);
+/// 2. `apply_where_compact` commits the winners' colors, zeroes their
+///    weights, and contracts them out of the active list in one fused
+///    compaction (the full-width two assigns + contraction).
 ///
 /// The max at a listed row only combines neighbors with live weights —
 /// exactly what the full-width masked product computes there — so
-/// colorings are bit-identical to [`run_on_full`]. The surviving-count
-/// delta doubles as the old `reduce(+)` frontier-size/empty test.
-pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
+/// [`Variant::Compacted`] colorings are bit-identical to
+/// [`Variant::FullWidth`]'s. The surviving-count delta doubles as the
+/// `reduce(+)` frontier-size/empty test.
+///
+/// [`Variant::ShortCut`] changes only the commit: each winner takes the
+/// mex of its neighborhood's committed colors instead of the round
+/// index. Winner sets are untouched (same select op, same weight kill),
+/// so iteration counts match. Each round's winner set is an independent
+/// set (tie-free weights), so no winner reads another winner's fresh
+/// color: the mex inputs are stable within the round, re-evaluation
+/// under the compaction's double-evaluation contract recomputes the
+/// same value, and the color count can only end at or below the
+/// round-indexed variant's (at most one new color can appear per round
+/// either way, and mex reuses old colors whenever the neighborhood
+/// permits).
+pub fn run_on(dev: &Device, g: &Csr, seed: u64, variant: Variant) -> ColoringResult {
     use std::cell::{Cell, RefCell};
 
-    let _pool = gc_vgpu::pool::lease();
+    let compact = variant != Variant::FullWidth;
+    let first_fit = variant == Variant::ShortCut;
+    let _pool = compact.then(gc_vgpu::pool::lease);
     let n = g.num_vertices();
     let a = Matrix::from_graph(dev, g);
     let c = Vector::<i64>::new(n);
     let weight = Vector::<i64>::new(n);
+    // The full-width round materializes the neighborhood max; the
+    // compacted round fuses it away.
+    let max = (!compact).then(|| Vector::<i64>::new(n));
     let frontier = Vector::<i64>::new(n);
     dev.reset();
     let launches_before = dev.profile().launches;
@@ -79,35 +118,60 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
     let active = RefCell::new(ActiveList::all(n));
     let color = Cell::new(0i64);
     let retired = Cell::new(0usize);
-    // Capture once; the frontier length and the round's color are
+    // Captured once; the frontier length and the round's color are
     // resolved at replay time (the contraction output swaps into
     // `active` between replays), so every round replays the same graph.
-    let pipeline = dev.capture("grb::is_round", || {
-        let cur = active.borrow();
-        // Max live-neighbor weight and the GT test, fused. Under the
-        // dense encoding the zero weight of a colored vertex is the
-        // "no value" sentinel, so the test also requires a live weight.
-        ops::vxm_apply_list(
-            dev,
-            &frontier,
-            &MaxTimes,
-            |w, m| (w != 0 && w > m) as i64,
-            &weight,
-            &a,
-            &cur,
-        );
-        // Color the new Luby members, kill their weights, and contract
-        // them out of the candidate list, all in one compaction.
-        let next = ops::assign_where_compact(
-            dev,
-            "grb::is_active",
-            &frontier,
-            &[(&c, color.get()), (&weight, 0)],
-            &cur,
-        );
-        retired.set(cur.len() - next.len());
-        drop(cur);
-        *active.borrow_mut() = next;
+    let (round_name, active_name) = if first_fit {
+        ("grb::is_sc_round", "grb::is_sc_active")
+    } else {
+        ("grb::is_round", "grb::is_active")
+    };
+    let pipeline = compact.then(|| {
+        dev.capture(round_name, || {
+            let cur = active.borrow();
+            // Max live-neighbor weight and the GT test, fused. Under the
+            // dense encoding the zero weight of a colored vertex is the
+            // "no value" sentinel, so the test also requires a live
+            // weight.
+            ops::vxm_apply_list(
+                dev,
+                &frontier,
+                &MaxTimes,
+                |w, m| (w != 0 && w > m) as i64,
+                &weight,
+                &a,
+                &cur,
+            );
+            // Commit the new Luby members, kill their weights, and
+            // contract them out of the candidate list, all in one
+            // compaction. The commit rule is the only difference between
+            // the round-indexed and short-cutting variants.
+            let round_color = color.get();
+            let next = ops::apply_where_compact(
+                dev,
+                active_name,
+                &frontier,
+                &c,
+                |t, i| {
+                    if !first_fit {
+                        return round_color;
+                    }
+                    let mut forbidden: Vec<u32> = Vec::new();
+                    for j in a.cols_seq(t, i) {
+                        let cj = c.read(t, j as usize);
+                        if cj != 0 {
+                            forbidden.push(cj as u32);
+                        }
+                    }
+                    crate::repair::mex(&mut forbidden) as i64
+                },
+                &[(&weight, 0)],
+                &cur,
+            );
+            retired.set(cur.len() - next.len());
+            drop(cur);
+            *active.borrow_mut() = next;
+        })
     });
 
     let mut iterations = 0u32;
@@ -124,204 +188,50 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
         };
         iter_span.attr("iteration", iterations - 1);
         color.set(round_color);
-        dev.replay(&pipeline);
-        if iter_span.is_recording() {
-            iter_span.attr("frontier_size", retired.get() as i64);
-            iter_span.attr("colors_so_far", round_color);
-            iter_span.set_model_range(iter_model0, dev.elapsed_ms());
-        }
-        // The host convergence branch consumes the surviving count — the
-        // scalar readback that replaced the full-width `reduce(+)`.
-        active.borrow().read_len(dev);
-        if retired.get() == 0 {
-            finished = true;
-            break;
-        }
-    }
-
-    assert!(finished, "IS coloring exceeded the {MAX_COLORS}-color cap");
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
-    let colors: Vec<u32> = c.to_vec().into_iter().map(|x| x as u32).collect();
-    ColoringResult::new(colors, iterations, model_ms, launches).with_profile(dev.profile())
-}
-
-/// Runs the short-cutting variant of Algorithm 2 on a fresh K40c-model
-/// device.
-pub fn gblas_is_sc(g: &Csr, seed: u64) -> ColoringResult {
-    let dev = Device::k40c();
-    run_on_sc(&dev, g, seed)
-}
-
-/// Short-cutting Algorithm 2: the same Luby winner test per round, but
-/// each winner first-fits into the lowest color absent from its
-/// neighborhood instead of taking the round index. Winner sets are
-/// bit-identical to [`run_on`]'s — the select op is untouched and the
-/// weight kill is the same — so iteration counts match, while the fused
-/// [`ops::apply_where_compact`] epilogue computes each winner's mex
-/// in-kernel.
-///
-/// Each round's winner set is an independent set (tie-free weights), so
-/// no winner reads another winner's fresh color: the mex inputs are
-/// stable within the round, re-evaluation under the compaction's
-/// double-evaluation contract recomputes the same value, and the color
-/// count can only end at or below the round-indexed variant's (at most
-/// one new color can appear per round either way, and mex reuses old
-/// colors whenever the neighborhood permits).
-pub fn run_on_sc(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
-    use std::cell::{Cell, RefCell};
-
-    let _pool = gc_vgpu::pool::lease();
-    let n = g.num_vertices();
-    let a = Matrix::from_graph(dev, g);
-    let c = Vector::<i64>::new(n);
-    let weight = Vector::<i64>::new(n);
-    let frontier = Vector::<i64>::new(n);
-    dev.reset();
-    let launches_before = dev.profile().launches;
-    let desc = Descriptor::null();
-
-    ops::assign_scalar(dev, &c, None, 0, desc);
-    ops::apply_indexed(
-        dev,
-        &weight,
-        None,
-        |i, _| vertex_weight_i64(seed, i as u32),
-        &weight,
-        desc,
-    );
-
-    let active = RefCell::new(ActiveList::all(n));
-    let retired = Cell::new(0usize);
-    let pipeline = dev.capture("grb::is_sc_round", || {
-        let cur = active.borrow();
-        ops::vxm_apply_list(
-            dev,
-            &frontier,
-            &MaxTimes,
-            |w, m| (w != 0 && w > m) as i64,
-            &weight,
-            &a,
-            &cur,
-        );
-        // First-fit the new Luby members instead of stamping the round
-        // index: mex over the neighborhood's committed colors, fused
-        // with the weight kill and the candidate-list contraction.
-        let next = ops::apply_where_compact(
-            dev,
-            "grb::is_sc_active",
-            &frontier,
-            &c,
-            |t, i| {
-                let mut forbidden: Vec<u32> = Vec::new();
-                for j in a.cols_seq(t, i) {
-                    let cj = c.read(t, j as usize);
-                    if cj != 0 {
-                        forbidden.push(cj as u32);
-                    }
-                }
-                crate::reduce::mex(&mut forbidden) as i64
-            },
-            &[(&weight, 0)],
-            &cur,
-        );
-        retired.set(cur.len() - next.len());
-        drop(cur);
-        *active.borrow_mut() = next;
-    });
-
-    let mut iterations = 0u32;
-    let mut finished = false;
-    for _ in 0..MAX_COLORS {
-        iterations += 1;
-        let mut iter_span = gc_telemetry::span("iteration");
-        let iter_model0 = if iter_span.is_recording() {
-            dev.elapsed_ms()
-        } else {
-            0.0
+        let won = match (&pipeline, &max) {
+            (Some(round), _) => {
+                dev.replay(round);
+                retired.get() as i64
+            }
+            (None, Some(max)) => {
+                // Find max of neighbors.
+                ops::vxm(dev, max, None, &MaxTimes, &weight, &a, desc);
+                // Find all largest uncolored nodes.
+                ops::ewise_add(
+                    dev,
+                    &frontier,
+                    None,
+                    |w, m| (w != 0 && w > m) as i64,
+                    &weight,
+                    max,
+                    desc,
+                );
+                // Stop when the frontier is empty.
+                ops::reduce(dev, 0i64, |x, y| x + y, &frontier)
+            }
+            (None, None) => unreachable!("the full-width round owns `max`"),
         };
-        iter_span.attr("iteration", iterations - 1);
-        dev.replay(&pipeline);
         if iter_span.is_recording() {
-            iter_span.attr("frontier_size", retired.get() as i64);
+            iter_span.attr("frontier_size", won);
+            if !first_fit {
+                iter_span.attr("colors_so_far", round_color);
+            }
             iter_span.set_model_range(iter_model0, dev.elapsed_ms());
         }
-        active.borrow().read_len(dev);
-        if retired.get() == 0 {
+        if compact {
+            // The host convergence branch consumes the surviving count —
+            // the scalar readback that replaces the full-width `reduce`.
+            active.borrow().read_len(dev);
+        }
+        if won == 0 {
             finished = true;
             break;
         }
-    }
-
-    assert!(finished, "IS coloring exceeded the {MAX_COLORS}-round cap");
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
-    let colors: Vec<u32> = c.to_vec().into_iter().map(|x| x as u32).collect();
-    ColoringResult::new(colors, iterations, model_ms, launches).with_profile(dev.profile())
-}
-
-/// Runs Algorithm 2 full-width, as the paper transcribes it: every op
-/// spans all `n` rows every round and a full-width `reduce(+)` tests
-/// frontier emptiness. Kept as the pre-compaction baseline for the
-/// benchmark harness and the equivalence tests.
-pub fn run_on_full(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
-    let n = g.num_vertices();
-    let a = Matrix::from_graph(dev, g);
-    let c = Vector::<i64>::new(n);
-    let weight = Vector::<i64>::new(n);
-    let max = Vector::<i64>::new(n);
-    let frontier = Vector::<i64>::new(n);
-    dev.reset();
-    let launches_before = dev.profile().launches;
-    let desc = Descriptor::null();
-
-    ops::assign_scalar(dev, &c, None, 0, desc);
-    ops::apply_indexed(
-        dev,
-        &weight,
-        None,
-        |i, _| vertex_weight_i64(seed, i as u32),
-        &weight,
-        desc,
-    );
-
-    let mut iterations = 0u32;
-    let mut finished = false;
-    for color in 1..=(MAX_COLORS as i64) {
-        iterations += 1;
-        let mut iter_span = gc_telemetry::span("iteration");
-        let iter_model0 = if iter_span.is_recording() {
-            dev.elapsed_ms()
-        } else {
-            0.0
-        };
-        iter_span.attr("iteration", iterations - 1);
-        // Find max of neighbors.
-        ops::vxm(dev, &max, None, &MaxTimes, &weight, &a, desc);
-        // Find all largest uncolored nodes.
-        ops::ewise_add(
-            dev,
-            &frontier,
-            None,
-            |w, m| (w != 0 && w > m) as i64,
-            &weight,
-            &max,
-            desc,
-        );
-        // Stop when the frontier is empty.
-        let succ = ops::reduce(dev, 0i64, |x, y| x + y, &frontier);
-        if iter_span.is_recording() {
-            iter_span.attr("frontier_size", succ);
-            iter_span.attr("colors_so_far", color);
-            iter_span.set_model_range(iter_model0, dev.elapsed_ms());
+        if !compact {
+            // Assign new color; remove colored nodes from the candidates.
+            ops::assign_scalar(dev, &c, Some(&frontier), round_color, desc);
+            ops::assign_scalar(dev, &weight, Some(&frontier), 0, desc);
         }
-        if succ == 0 {
-            finished = true;
-            break;
-        }
-        // Assign new color; remove colored nodes from the candidate list.
-        ops::assign_scalar(dev, &c, Some(&frontier), color, desc);
-        ops::assign_scalar(dev, &weight, Some(&frontier), 0, desc);
     }
 
     assert!(finished, "IS coloring exceeded the {MAX_COLORS}-color cap");
@@ -401,7 +311,7 @@ mod tests {
             complete(6),
         ] {
             let compacted = gblas_is(&g, 9);
-            let full = run_on_full(&Device::k40c(), &g, 9);
+            let full = run_on(&Device::k40c(), &g, 9, Variant::FullWidth);
             assert_eq!(compacted.coloring, full.coloring);
             assert_eq!(compacted.iterations, full.iterations);
         }
@@ -417,7 +327,7 @@ mod tests {
             erdos_renyi(300, 0.02, 5),
             grid2d(16, 16, Stencil2d::FivePoint),
         ] {
-            let sc = gblas_is_sc(&g, 9);
+            let sc = run_on(&Device::k40c(), &g, 9, Variant::ShortCut);
             let ri = gblas_is(&g, 9);
             assert_proper(&g, sc.coloring.as_slice());
             assert!(
@@ -437,7 +347,7 @@ mod tests {
         // round-indexed variant mints a color per round; first-fit
         // stays near the stencil's chromatic number.
         let g = grid2d(24, 24, Stencil2d::FivePoint);
-        let sc = gblas_is_sc(&g, 9);
+        let sc = run_on(&Device::k40c(), &g, 9, Variant::ShortCut);
         let ri = gblas_is(&g, 9);
         assert!(
             sc.num_colors < ri.num_colors,
@@ -450,8 +360,8 @@ mod tests {
     #[test]
     fn short_cutting_is_deterministic() {
         let g = erdos_renyi(300, 0.02, 8);
-        let a = gblas_is_sc(&g, 11);
-        let b = gblas_is_sc(&g, 11);
+        let a = run_on(&Device::k40c(), &g, 11, Variant::ShortCut);
+        let b = run_on(&Device::k40c(), &g, 11, Variant::ShortCut);
         assert_eq!(a.coloring, b.coloring);
         assert_eq!(a.model_ms, b.model_ms);
     }
@@ -460,7 +370,7 @@ mod tests {
     fn compacted_does_less_simulated_work() {
         let g = erdos_renyi(600, 0.01, 3);
         let compacted = gblas_is(&g, 9);
-        let full = run_on_full(&Device::k40c(), &g, 9);
+        let full = run_on(&Device::k40c(), &g, 9, Variant::FullWidth);
         let (c, f) = (
             compacted.profile.unwrap().thread_executions,
             full.profile.unwrap().thread_executions,

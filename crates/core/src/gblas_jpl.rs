@@ -18,8 +18,8 @@
 //! full-width `GxB_scatter` chain), and the possible-colors machinery
 //! spans only a prefix of the color array sized by the iteration count
 //! (at most `iterations` distinct colors can exist, so the minimum free
-//! color always lands inside the prefix). [`JplConfig::full_width`]
-//! preserves the paper's transcription.
+//! color always lands inside the prefix). Clearing
+//! [`JplConfig::compact_frontier`] keeps the paper's transcription.
 
 use gc_graph::Csr;
 use gc_graphblas::{ops, ActiveList, BooleanOrAnd, Descriptor, Matrix, MaxTimes, Vector};
@@ -68,15 +68,6 @@ impl JplConfig {
         JplConfig {
             assign_instead_of_set_element: true,
             ..JplConfig::default()
-        }
-    }
-
-    /// The pre-compaction baseline: every op spans all `n` rows (or all
-    /// `max_colors` slots) every iteration.
-    pub fn full_width() -> Self {
-        JplConfig {
-            assign_instead_of_set_element: false,
-            compact_frontier: false,
         }
     }
 }
@@ -195,36 +186,44 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
 
 /// Runs the JPL coloring with explicit variant knobs on the provided
 /// device.
-pub fn run_on_with(dev: &Device, g: &Csr, seed: u64, cfg: JplConfig) -> ColoringResult {
-    if cfg.compact_frontier {
-        run_compacted(dev, g, seed, cfg)
-    } else {
-        run_full(dev, g, seed, cfg)
-    }
-}
-
-/// The compacted-frontier path: Luby selection over the active list (as
-/// in Algorithm 2's compacted form) plus the push-mode, prefix-limited
-/// [`jp_inner_list`]. Colorings are bit-identical to [`run_full`].
 ///
-/// The whole outer round — fused Luby selection, member contraction,
-/// the inner minimum-free-color helper, and the fused color/retire
-/// compaction — is captured once as a [`gc_vgpu::LaunchGraph`] and
-/// replayed per round, paying one launch overhead for the round's whole
-/// kernel pipeline. The round's color limit, the frontier swap, and the
+/// With `compact_frontier` (the default) the Luby selection runs over
+/// the active list (as in Algorithm 2's compacted form) and the inner
+/// helper is the push-mode, prefix-limited `jp_inner_list`. The whole
+/// outer round — fused Luby selection, member contraction, the inner
+/// minimum-free-color helper, and the fused color/retire compaction —
+/// is captured once as a [`gc_vgpu::LaunchGraph`] and replayed per
+/// round, paying one launch overhead for the round's whole kernel
+/// pipeline. The round's color limit, the frontier swap, and the
 /// empty-frontier early-out are host logic inside the captured body, so
 /// they resolve at replay time and the shrinking frontier stays exact.
-fn run_compacted(dev: &Device, g: &Csr, seed: u64, cfg: JplConfig) -> ColoringResult {
+///
+/// Without it, every op spans all `n` rows (or all `max_colors` slots)
+/// every round, one launch per op, as the paper transcribes Algorithm 4
+/// (`jp_inner`, a full-width `reduce(+)` emptiness test, two masked
+/// assigns). Colorings are bit-identical either way.
+pub fn run_on_with(dev: &Device, g: &Csr, seed: u64, cfg: JplConfig) -> ColoringResult {
     use std::cell::{Cell, RefCell};
 
-    let _pool = gc_vgpu::pool::lease();
+    let _pool = cfg.compact_frontier.then(gc_vgpu::pool::lease);
     let n = g.num_vertices();
-    // Enough slots that a free color always exists (see `run_full`); the
-    // per-iteration prefix keeps the touched span near the color count.
+    // Enough slots that a free color always exists: at most `iterations`
+    // distinct colors exist when the scatter runs, and iterations <= n.
+    // The compacted round's per-iteration prefix keeps the touched span
+    // near the color count.
     let max_colors = n + 2;
     let a = Matrix::from_graph(dev, g);
     let c = Vector::<i64>::new(n);
     let weight = Vector::<i64>::new(n);
+    // The full-width round's `max`, `nbr` and `ncolors` scratch; the
+    // compacted round fuses all three away.
+    let scratch = (!cfg.compact_frontier).then(|| {
+        (
+            Vector::<i64>::new(n),
+            Vector::<i64>::new(n),
+            Vector::<i64>::new(n),
+        )
+    });
     let frontier = Vector::<i64>::new(n);
     let colors_arr = Vector::<i64>::new(max_colors);
     let min_array = Vector::<i64>::new(max_colors);
@@ -249,52 +248,54 @@ fn run_compacted(dev: &Device, g: &Csr, seed: u64, cfg: JplConfig) -> ColoringRe
     let round = Cell::new(0u32);
     let frontier_size = Cell::new(0usize);
     let round_color = Cell::new(0i64);
-    let pipeline = dev.capture("grb::jpl_round", || {
-        let cur = active.borrow();
-        // Max live-neighbor weight and the Luby GT test, fused.
-        ops::vxm_apply_list(
-            dev,
-            &frontier,
-            &MaxTimes,
-            |w, m| (w != 0 && w > m) as i64,
-            &weight,
-            &a,
-            &cur,
-        );
-        let members = cur.contract(dev, "grb::jpl_members", |t, v| {
-            frontier.truthy(t, v as usize)
-        });
-        frontier_size.set(members.read_len(dev));
-        if members.is_empty() {
-            return;
-        }
-        let limit = (round.get() as usize + 2).min(max_colors);
-        let min_color = jp_inner_list(
-            dev,
-            &a,
-            &c,
-            &members,
-            &colors_arr,
-            &min_array,
-            &ascending,
-            limit,
-            cfg,
-        );
-        debug_assert!((1..TAKEN).contains(&min_color));
-        round_color.set(min_color);
-        // Color the frontier, kill its weights, and contract it out of
-        // the active list in one fused compaction (survivors-by-not-
-        // frontier equals the old survivors-by-live-weight: exactly the
-        // frontier loses its weight here).
-        let next = ops::assign_where_compact(
-            dev,
-            "grb::jpl_active",
-            &frontier,
-            &[(&c, min_color), (&weight, 0)],
-            &cur,
-        );
-        drop(cur);
-        *active.borrow_mut() = next;
+    let pipeline = cfg.compact_frontier.then(|| {
+        dev.capture("grb::jpl_round", || {
+            let cur = active.borrow();
+            // Max live-neighbor weight and the Luby GT test, fused.
+            ops::vxm_apply_list(
+                dev,
+                &frontier,
+                &MaxTimes,
+                |w, m| (w != 0 && w > m) as i64,
+                &weight,
+                &a,
+                &cur,
+            );
+            let members = cur.contract(dev, "grb::jpl_members", |t, v| {
+                frontier.truthy(t, v as usize)
+            });
+            frontier_size.set(members.read_len(dev));
+            if members.is_empty() {
+                return;
+            }
+            let limit = (round.get() as usize + 2).min(max_colors);
+            let min_color = jp_inner_list(
+                dev,
+                &a,
+                &c,
+                &members,
+                &colors_arr,
+                &min_array,
+                &ascending,
+                limit,
+                cfg,
+            );
+            debug_assert!((1..TAKEN).contains(&min_color));
+            round_color.set(min_color);
+            // Color the frontier, kill its weights, and contract it out
+            // of the active list in one fused compaction (survivors-by-
+            // not-frontier equals survivors-by-live-weight: exactly the
+            // frontier loses its weight here).
+            let next = ops::assign_where_compact(
+                dev,
+                "grb::jpl_active",
+                &frontier,
+                &[(&c, min_color), (&weight, 0)],
+                &cur,
+            );
+            drop(cur);
+            *active.borrow_mut() = next;
+        })
     });
 
     let mut iterations = 0u32;
@@ -311,107 +312,55 @@ fn run_compacted(dev: &Device, g: &Csr, seed: u64, cfg: JplConfig) -> ColoringRe
             0.0
         };
         iter_span.attr("iteration", iterations - 1);
-        dev.replay(&pipeline);
+        let (size, min_color) = match (&pipeline, &scratch) {
+            (Some(pipeline), _) => {
+                dev.replay(pipeline);
+                (frontier_size.get() as i64, round_color.get())
+            }
+            (None, Some((max, nbr, ncolors))) => {
+                ops::vxm(dev, max, None, &MaxTimes, &weight, &a, desc);
+                ops::ewise_add(
+                    dev,
+                    &frontier,
+                    None,
+                    |w, m| (w != 0 && w > m) as i64,
+                    &weight,
+                    max,
+                    desc,
+                );
+                let succ = ops::reduce(dev, 0i64, |x, y| x + y, &frontier);
+                if succ == 0 {
+                    (0, 0)
+                } else {
+                    let min_color = jp_inner(
+                        dev,
+                        &a,
+                        &c,
+                        &frontier,
+                        nbr,
+                        ncolors,
+                        &colors_arr,
+                        &min_array,
+                        &ascending,
+                        cfg,
+                    );
+                    debug_assert!((1..TAKEN).contains(&min_color));
+                    ops::assign_scalar(dev, &c, Some(&frontier), min_color, desc);
+                    ops::assign_scalar(dev, &weight, Some(&frontier), 0, desc);
+                    (succ, min_color)
+                }
+            }
+            (None, None) => unreachable!("the full-width round owns its scratch"),
+        };
         if iter_span.is_recording() {
-            iter_span.attr("frontier_size", frontier_size.get() as i64);
-            if frontier_size.get() > 0 {
-                iter_span.attr("min_color", round_color.get());
+            iter_span.attr("frontier_size", size);
+            if size > 0 {
+                iter_span.attr("min_color", min_color);
             }
             iter_span.set_model_range(iter_model0, dev.elapsed_ms());
         }
-        if frontier_size.get() == 0 {
+        if size == 0 {
             break;
-        }
-    }
-
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
-    let colors: Vec<u32> = c.to_vec().into_iter().map(|x| x as u32).collect();
-    ColoringResult::new(colors, iterations, model_ms, launches).with_profile(dev.profile())
-}
-
-/// The paper's full-width transcription, kept as the pre-compaction
-/// baseline for the benchmark harness and the equivalence tests.
-fn run_full(dev: &Device, g: &Csr, seed: u64, cfg: JplConfig) -> ColoringResult {
-    let n = g.num_vertices();
-    // Enough slots that a free color always exists: at most `iterations`
-    // distinct colors exist when the scatter runs, and iterations <= n.
-    let max_colors = n + 2;
-    let a = Matrix::from_graph(dev, g);
-    let c = Vector::<i64>::new(n);
-    let weight = Vector::<i64>::new(n);
-    let max = Vector::<i64>::new(n);
-    let frontier = Vector::<i64>::new(n);
-    let nbr = Vector::<i64>::new(n);
-    let ncolors = Vector::<i64>::new(n);
-    let colors_arr = Vector::<i64>::new(max_colors);
-    let min_array = Vector::<i64>::new(max_colors);
-    let ascending = Vector::<i64>::new(max_colors);
-    dev.reset();
-    let launches_before = dev.profile().launches;
-    let desc = Descriptor::null();
-
-    ops::assign_scalar(dev, &c, None, 0, desc);
-    ops::apply_indexed(
-        dev,
-        &weight,
-        None,
-        |i, _| vertex_weight_i64(seed, i as u32),
-        &weight,
-        desc,
-    );
-    // ascending = 0, 1, 2, ..., max_colors - 1.
-    ops::apply_indexed(dev, &ascending, None, |i, _| i as i64, &ascending, desc);
-
-    let mut iterations = 0u32;
-    loop {
-        assert!(iterations < MAX_ITERATIONS, "JPL failed to terminate");
-        iterations += 1;
-        // One span per outer iteration: kernel events emitted by the
-        // device below nest inside it on the tracing thread.
-        let mut iter_span = gc_telemetry::span("iteration");
-        let iter_model0 = if iter_span.is_recording() {
-            dev.elapsed_ms()
-        } else {
-            0.0
-        };
-        iter_span.attr("iteration", iterations - 1);
-        ops::vxm(dev, &max, None, &MaxTimes, &weight, &a, desc);
-        ops::ewise_add(
-            dev,
-            &frontier,
-            None,
-            |w, m| (w != 0 && w > m) as i64,
-            &weight,
-            &max,
-            desc,
-        );
-        let succ = ops::reduce(dev, 0i64, |x, y| x + y, &frontier);
-        if iter_span.is_recording() {
-            iter_span.attr("frontier_size", succ);
-            iter_span.set_model_range(iter_model0, dev.elapsed_ms());
-        }
-        if succ == 0 {
-            break;
-        }
-        let min_color = jp_inner(
-            dev,
-            &a,
-            &c,
-            &frontier,
-            &nbr,
-            &ncolors,
-            &colors_arr,
-            &min_array,
-            &ascending,
-            cfg,
-        );
-        debug_assert!((1..TAKEN).contains(&min_color));
-        ops::assign_scalar(dev, &c, Some(&frontier), min_color, desc);
-        ops::assign_scalar(dev, &weight, Some(&frontier), 0, desc);
-        if iter_span.is_recording() {
-            iter_span.attr("min_color", min_color);
-            iter_span.set_model_range(iter_model0, dev.elapsed_ms());
         }
     }
 
@@ -516,7 +465,14 @@ mod tests {
             complete(6),
         ] {
             let compacted = gblas_jpl(&g, 9);
-            let full = gblas_jpl_with(&g, 9, JplConfig::full_width());
+            let full = gblas_jpl_with(
+                &g,
+                9,
+                JplConfig {
+                    compact_frontier: false,
+                    ..JplConfig::paper()
+                },
+            );
             assert_eq!(compacted.coloring, full.coloring);
             assert_eq!(compacted.iterations, full.iterations);
         }
@@ -526,7 +482,14 @@ mod tests {
     fn compacted_does_less_simulated_work() {
         let g = erdos_renyi(600, 0.01, 3);
         let compacted = gblas_jpl(&g, 9);
-        let full = gblas_jpl_with(&g, 9, JplConfig::full_width());
+        let full = gblas_jpl_with(
+            &g,
+            9,
+            JplConfig {
+                compact_frontier: false,
+                ..JplConfig::paper()
+            },
+        );
         let (c, f) = (
             compacted.profile.unwrap().thread_executions,
             full.profile.unwrap().thread_executions,

@@ -14,8 +14,8 @@
 //! vertices; the inner do-while contracts its own candidate list every
 //! pass and replaces the neighbor-removal `vxm` + masked `assign` pair
 //! with a push-mode [`ops::assign_adj`] over just the new members'
-//! edges. [`run_on_full`] preserves the paper's full-width
-//! transcription.
+//! edges. `run_on(.., compact_frontier: false)` keeps the paper's
+//! full-width transcription.
 
 use gc_graph::Csr;
 use gc_graphblas::{ops, ActiveList, BooleanOrAnd, Descriptor, Matrix, MaxTimes, Vector};
@@ -31,7 +31,7 @@ const MAX_COLORS: u32 = 100_000;
 /// K40c-model device.
 pub fn gblas_mis(g: &Csr, seed: u64) -> ColoringResult {
     let dev = Device::k40c();
-    run_on(&dev, g, seed)
+    run_on(&dev, g, seed, true)
 }
 
 /// The GRAPHBLASMISINNER procedure: computes a maximal independent set
@@ -167,16 +167,25 @@ fn mis_inner_list(
     added
 }
 
-/// Runs the MIS coloring on the provided device with the compacted
-/// active-vertex list (the default path).
-pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
-    let _pool = gc_vgpu::pool::lease();
+/// Runs the MIS coloring on the provided device.
+///
+/// With `compact_frontier` (the default) each color's inner do-while
+/// runs over a compacted candidate list (`mis_inner_list`) and one
+/// fused compaction colors the set, zeroes its weights, and contracts
+/// it out of the active list. Without it, every op spans all `n` rows
+/// as the paper transcribes it (`mis_inner`, a full-width `reduce(+)`
+/// sizing the set, two masked assigns). Colorings are bit-identical.
+pub fn run_on(dev: &Device, g: &Csr, seed: u64, compact_frontier: bool) -> ColoringResult {
+    let _pool = compact_frontier.then(gc_vgpu::pool::lease);
     let n = g.num_vertices();
     let a = Matrix::from_graph(dev, g);
     let c = Vector::<i64>::new(n);
     let weight = Vector::<i64>::new(n);
     let mis = Vector::<i64>::new(n);
     let work = Vector::<i64>::new(n);
+    // The full-width inner loop's `max` and `nbr` scratch; the
+    // list-restricted loop fuses both away.
+    let scratch = (!compact_frontier).then(|| (Vector::<i64>::new(n), Vector::<i64>::new(n)));
     let frontier = Vector::<i64>::new(n);
     dev.reset();
     let launches_before = dev.profile().launches;
@@ -206,80 +215,13 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
             0.0
         };
         iter_span.attr("iteration", iterations - 1);
-        let size = mis_inner_list(dev, &a, &weight, &mis, &work, &frontier, &active);
-        if iter_span.is_recording() {
-            iter_span.attr("mis_size", size as i64);
-            iter_span.attr("colors_so_far", color);
-            iter_span.set_model_range(iter_model0, dev.elapsed_ms());
-        }
-        if size == 0 {
-            finished = true;
-            break;
-        }
-        // Color the set (mis is fresh across the whole active list),
-        // zero its weights, and contract the colored vertices out of the
-        // list — the old two masked assigns plus contraction, fused into
-        // one compaction kernel. Survivors-by-not-mis equals the old
-        // survivors-by-live-weight: every active vertex had a live
-        // weight, and exactly the MIS members lose theirs here.
-        active = ops::assign_where_compact(
-            dev,
-            "grb::mis_active",
-            &mis,
-            &[(&c, color), (&weight, 0)],
-            &active,
-        );
-    }
-
-    assert!(finished, "MIS coloring exceeded the {MAX_COLORS}-color cap");
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
-    let colors: Vec<u32> = c.to_vec().into_iter().map(|x| x as u32).collect();
-    ColoringResult::new(colors, iterations, model_ms, launches).with_profile(dev.profile())
-}
-
-/// Runs the MIS coloring full-width, as the paper transcribes it. Kept
-/// as the pre-compaction baseline for the benchmark harness and the
-/// equivalence tests.
-pub fn run_on_full(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
-    let n = g.num_vertices();
-    let a = Matrix::from_graph(dev, g);
-    let c = Vector::<i64>::new(n);
-    let weight = Vector::<i64>::new(n);
-    let mis = Vector::<i64>::new(n);
-    let work = Vector::<i64>::new(n);
-    let max = Vector::<i64>::new(n);
-    let frontier = Vector::<i64>::new(n);
-    let nbr = Vector::<i64>::new(n);
-    dev.reset();
-    let launches_before = dev.profile().launches;
-    let desc = Descriptor::null();
-
-    ops::assign_scalar(dev, &c, None, 0, desc);
-    ops::apply_indexed(
-        dev,
-        &weight,
-        None,
-        |i, _| vertex_weight_i64(seed, i as u32),
-        &weight,
-        desc,
-    );
-
-    let mut iterations = 0u32;
-    let mut finished = false;
-    for color in 1..=(MAX_COLORS as i64) {
-        iterations += 1;
-        // One span per outer (color) iteration: the inner do-while's
-        // kernel events nest inside it on the tracing thread.
-        let mut iter_span = gc_telemetry::span("iteration");
-        let iter_model0 = if iter_span.is_recording() {
-            dev.elapsed_ms()
-        } else {
-            0.0
+        let size = match &scratch {
+            None => mis_inner_list(dev, &a, &weight, &mis, &work, &frontier, &active) as i64,
+            Some((max, nbr)) => {
+                mis_inner(dev, &a, &weight, &mis, &work, max, &frontier, nbr);
+                ops::reduce(dev, 0i64, |x, y| x + y, &mis)
+            }
         };
-        iter_span.attr("iteration", iterations - 1);
-        mis_inner(dev, &a, &weight, &mis, &work, &max, &frontier, &nbr);
-        let size = ops::reduce(dev, 0i64, |x, y| x + y, &mis);
         if iter_span.is_recording() {
             iter_span.attr("mis_size", size);
             iter_span.attr("colors_so_far", color);
@@ -289,8 +231,24 @@ pub fn run_on_full(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
             finished = true;
             break;
         }
-        ops::assign_scalar(dev, &c, Some(&mis), color, desc);
-        ops::assign_scalar(dev, &weight, Some(&mis), 0, desc);
+        if compact_frontier {
+            // Color the set (mis is fresh across the whole active list),
+            // zero its weights, and contract the colored vertices out of
+            // the list — the two masked assigns plus contraction, fused
+            // into one compaction kernel. Survivors-by-not-mis equals
+            // survivors-by-live-weight: every active vertex had a live
+            // weight, and exactly the MIS members lose theirs here.
+            active = ops::assign_where_compact(
+                dev,
+                "grb::mis_active",
+                &mis,
+                &[(&c, color), (&weight, 0)],
+                &active,
+            );
+        } else {
+            ops::assign_scalar(dev, &c, Some(&mis), color, desc);
+            ops::assign_scalar(dev, &weight, Some(&mis), 0, desc);
+        }
     }
 
     assert!(finished, "MIS coloring exceeded the {MAX_COLORS}-color cap");
@@ -448,7 +406,7 @@ mod tests {
             cycle(30),
         ] {
             let compacted = gblas_mis(&g, 9);
-            let full = run_on_full(&Device::k40c(), &g, 9);
+            let full = run_on(&Device::k40c(), &g, 9, false);
             assert_eq!(compacted.coloring, full.coloring);
             assert_eq!(compacted.iterations, full.iterations);
         }
@@ -458,7 +416,7 @@ mod tests {
     fn compacted_does_less_simulated_work() {
         let g = erdos_renyi(600, 0.01, 3);
         let compacted = gblas_mis(&g, 9);
-        let full = run_on_full(&Device::k40c(), &g, 9);
+        let full = run_on(&Device::k40c(), &g, 9, false);
         let (c, f) = (
             compacted.profile.unwrap().thread_executions,
             full.profile.unwrap().thread_executions,

@@ -48,17 +48,6 @@ impl Default for HashConfig {
     }
 }
 
-impl HashConfig {
-    /// The pre-compaction launch shape: every operator runs over all `n`
-    /// vertices. Kept as the benchmark baseline and equivalence oracle.
-    pub fn full_width() -> Self {
-        HashConfig {
-            compact_frontier: false,
-            ..Default::default()
-        }
-    }
-}
-
 /// Runs Algorithm 6 on a fresh K40c-model device.
 pub fn gunrock_hash(g: &Csr, seed: u64, cfg: HashConfig) -> ColoringResult {
     let dev = Device::k40c();
@@ -382,8 +371,22 @@ mod tests {
         // full-width arms; the captured pipelines amortize exactly the
         // overhead the claim rests on.
         let g = erdos_renyi(600, 0.02, 13);
-        let hash = gunrock_hash(&g, 3, HashConfig::full_width());
-        let is = gunrock_is::gunrock_is(&g, 3, IsConfig::full_width());
+        let hash = gunrock_hash(
+            &g,
+            3,
+            HashConfig {
+                compact_frontier: false,
+                ..HashConfig::default()
+            },
+        );
+        let is = gunrock_is::gunrock_is(
+            &g,
+            3,
+            IsConfig {
+                compact_frontier: false,
+                ..IsConfig::min_max()
+            },
+        );
         assert!(
             hash.model_ms > is.model_ms,
             "hash {} vs IS {}",
@@ -401,7 +404,14 @@ mod tests {
             complete(6),
         ] {
             let compacted = gunrock_hash(&g, 9, HashConfig::default());
-            let full = gunrock_hash(&g, 9, HashConfig::full_width());
+            let full = gunrock_hash(
+                &g,
+                9,
+                HashConfig {
+                    compact_frontier: false,
+                    ..HashConfig::default()
+                },
+            );
             assert_eq!(compacted.coloring, full.coloring);
             assert_eq!(compacted.iterations, full.iterations);
             assert!(compacted.kernel_launches <= full.kernel_launches);

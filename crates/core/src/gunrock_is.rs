@@ -140,17 +140,6 @@ impl IsConfig {
             ..Default::default()
         }
     }
-
-    /// The pre-compaction launch shape: every per-iteration kernel runs
-    /// over all `n` vertices and convergence is a full-width uncolored
-    /// count. Kept as the benchmark baseline and the equivalence oracle
-    /// for the frontier-compacted default.
-    pub fn full_width() -> Self {
-        IsConfig {
-            compact_frontier: false,
-            ..Default::default()
-        }
-    }
 }
 
 /// Runs Algorithm 5 on a fresh K40c-model device.
@@ -283,7 +272,7 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64, cfg: IsConfig) -> ColoringResult
                             forbidden.push(cu);
                         }
                     }
-                    t.write(&colors, v as usize, crate::reduce::mex(&mut forbidden));
+                    t.write(&colors, v as usize, crate::repair::mex(&mut forbidden));
                 });
             };
             commit("is::sc_commit_max", 1);
@@ -716,7 +705,14 @@ mod tests {
             complete(6),
         ] {
             let compacted = gunrock_is(&g, 9, IsConfig::min_max());
-            let full = gunrock_is(&g, 9, IsConfig::full_width());
+            let full = gunrock_is(
+                &g,
+                9,
+                IsConfig {
+                    compact_frontier: false,
+                    ..IsConfig::min_max()
+                },
+            );
             assert_eq!(compacted.coloring, full.coloring);
             assert_eq!(compacted.iterations, full.iterations);
             // The captured path must never dispatch more than the

@@ -50,7 +50,7 @@ use gc_vgpu::{Device, DeviceBuffer};
 
 use crate::color::ColoringResult;
 use crate::cpu_model::CpuModel;
-use crate::reduce::mex;
+use crate::repair::{first_fit_sweep, mex};
 
 /// Safety cap on device rounds.
 const MAX_ITERATIONS: u32 = 100_000;
@@ -226,23 +226,8 @@ pub fn run_on(dev: &Device, g: &Csr, seed: u64, cfg: HybridConfig) -> ColoringRe
     // in ascending vertex order, billed on the paper's CPU model.
     let mut host_colors = dev.download(&colors);
     let mut tail_span = gc_telemetry::span("hybrid_tail");
-    let mut tail_vertices = 0u64;
-    let mut edge_visits = 0u64;
-    let mut forbidden: Vec<u32> = Vec::new();
-    for v in 0..n {
-        if host_colors[v] != 0 {
-            continue;
-        }
-        tail_vertices += 1;
-        forbidden.clear();
-        for &u in g.neighbors(v as u32) {
-            edge_visits += 1;
-            if host_colors[u as usize] != 0 {
-                forbidden.push(host_colors[u as usize]);
-            }
-        }
-        host_colors[v] = mex(&mut forbidden);
-    }
+    let (tail_vertices, edge_visits) =
+        first_fit_sweep(g, &mut host_colors, |colors, v| colors[v as usize] == 0);
     let tail_ms = CpuModel::xeon_e5().time_ms(tail_vertices, edge_visits);
     if tail_span.is_recording() {
         tail_span.attr("tail_vertices", tail_vertices);

@@ -15,6 +15,16 @@
 //! | `Naumov/Color_JPL` | [`naumov`] | cuSPARSE-style JPL baseline |
 //! | `Naumov/Color_CC` | [`naumov`] | cuSPARSE-style csrcolor baseline |
 //!
+//! Support modules:
+//!
+//! | module | role |
+//! |---|---|
+//! | [`runner`] | the uniform colorer registry ([`ColorerKind`] carries each GPU colorer's frontier mode) |
+//! | [`verify`] | properness checks and color statistics |
+//! | [`reduce`] | iterated color-reduction post-pass |
+//! | [`repair`] | `mex`, host first-fit sweeps, single-device speculate-recolor repair |
+//! | [`cpu_model`] | the paper's CPU cost model for host-side work |
+//!
 //! Plus the paper's §VI future-work directions, implemented as
 //! extensions: [`gm_gpu`] (Gebremedhin-Manne speculative coloring on the
 //! GPU) and the largest-degree-first priority mode of [`gunrock_is`]
@@ -79,6 +89,7 @@ pub mod hybrid;
 pub mod jp_cpu;
 pub mod naumov;
 pub mod reduce;
+pub mod repair;
 pub mod runner;
 pub mod verify;
 

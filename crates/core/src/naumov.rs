@@ -17,7 +17,7 @@
 //!   figure the paper quotes against GraphBLAST MIS.
 
 use gc_graph::Csr;
-use gc_gunrock::{ops, Frontier};
+use gc_gunrock::{ops, DeviceCsr, Frontier};
 use gc_vgpu::rng::uniform_u32;
 use gc_vgpu::{Device, DeviceBuffer};
 
@@ -37,80 +37,102 @@ fn key(seed: u64, iteration: u32, salt: u32, v: u32) -> u64 {
     ((h as u64) << 32) | v as u64
 }
 
+/// Number of hash functions per `Color_CC` iteration.
+pub const CC_HASHES: u32 = 6;
+
 /// `Naumov/Color_JPL`.
 pub fn naumov_jpl(g: &Csr, seed: u64) -> ColoringResult {
     let dev = Device::k40c();
-    jpl_on(&dev, g, seed)
+    jpl_on(&dev, g, seed, true)
 }
 
-/// `Naumov/Color_JPL` on a provided device (frontier-compacted: each
-/// iteration's kernel launches over the uncolored set, contracted by a
-/// stream compaction whose output length doubles as the convergence
-/// test).
-pub fn jpl_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
-    jpl_on_with(dev, g, seed, true)
+/// `Naumov/Color_JPL` on a provided device.
+///
+/// With `compact_frontier` (the default) each iteration's kernel
+/// launches over the uncolored set, contracted by a stream compaction
+/// whose output length doubles as the convergence test, and the round
+/// is captured once and replayed. Without it, every iteration runs over
+/// all `n` vertices plus a full-width uncolored count, one launch per
+/// kernel (the pre-compaction launch shape). Colorings are identical.
+pub fn jpl_on(dev: &Device, g: &Csr, seed: u64, compact_frontier: bool) -> ColoringResult {
+    run_on(dev, g, seed, Strategy::Jpl, compact_frontier)
 }
 
-/// `Naumov/Color_JPL` with the pre-compaction launch shape: every
-/// iteration runs over all `n` vertices plus a full-width uncolored
-/// count. Kept as the benchmark baseline and equivalence oracle.
-pub fn jpl_on_full(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
-    jpl_on_with(dev, g, seed, false)
+/// `Naumov/Color_CC`.
+pub fn naumov_cc(g: &Csr, seed: u64) -> ColoringResult {
+    let dev = Device::k40c();
+    cc_on(&dev, g, seed, true)
 }
 
-fn jpl_on_with(dev: &Device, g: &Csr, seed: u64, compact_frontier: bool) -> ColoringResult {
+/// `Naumov/Color_CC` on a provided device (frontier modes as in
+/// [`jpl_on`]).
+pub fn cc_on(dev: &Device, g: &Csr, seed: u64, compact_frontier: bool) -> ColoringResult {
+    run_on(dev, g, seed, Strategy::Cc, compact_frontier)
+}
+
+/// Which csrcolor kernel a run launches each iteration.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Strategy {
+    /// One hash, the local maximum takes the iteration's color.
+    Jpl,
+    /// [`CC_HASHES`] hashes, a max-set and a min-set each.
+    Cc,
+}
+
+impl Strategy {
+    fn name(self) -> &'static str {
+        match self {
+            Strategy::Jpl => "JPL",
+            Strategy::Cc => "CC",
+        }
+    }
+
+    /// Colors handed out per iteration.
+    fn colors_per_iteration(self) -> u32 {
+        match self {
+            Strategy::Jpl => 1,
+            Strategy::Cc => 2 * CC_HASHES,
+        }
+    }
+}
+
+/// The shared Naumov skeleton: everything but the kernel is common to
+/// both strategies.
+fn run_on(
+    dev: &Device,
+    g: &Csr,
+    seed: u64,
+    strategy: Strategy,
+    compact_frontier: bool,
+) -> ColoringResult {
     use std::cell::{Cell, RefCell};
 
     let _pool = compact_frontier.then(gc_vgpu::pool::lease);
     let n = g.num_vertices();
-    let csr = gc_gunrock::DeviceCsr::upload(dev, g);
+    let csr = DeviceCsr::upload(dev, g);
     let colors = DeviceBuffer::<u32>::zeroed(n);
     dev.reset();
     let launches_before = dev.profile().launches;
 
     let frontier = RefCell::new(Frontier::all(n));
     let remaining = DeviceBuffer::<u32>::zeroed(1);
-
-    let jpl_kernel = |iteration: u32, frontier: &Frontier| {
-        let color = iteration + 1;
-        ops::compute(dev, "naumov::jpl_kernel", frontier, |t, v| {
-            if t.read(&colors, v as usize) != 0 {
-                return;
-            }
-            t.charge(HASH_CYCLES);
-            let kv = key(seed, iteration, 0, v);
-            let mut is_max = true;
-            let (s, e) = csr.neighbor_range(t, v);
-            for slot in s..e {
-                let u = csr.neighbor(t, slot);
-                // Skip only neighbors colored in *earlier* iterations;
-                // a racing write of this iteration's color must still be
-                // compared (the same reasoning as Algorithm 5's lines
-                // 26-28: the hash comparison is deterministic either way).
-                let cu = t.read(&colors, u as usize);
-                if cu != 0 && cu != color {
-                    continue;
-                }
-                t.charge(HASH_CYCLES);
-                if key(seed, iteration, 0, u) > kv {
-                    is_max = false;
-                    break;
-                }
-            }
-            if is_max {
-                t.write(&colors, v as usize, color);
-            }
-        });
+    let kernel = |iteration: u32, frontier: &Frontier| match strategy {
+        Strategy::Jpl => jpl_kernel(dev, &csr, &colors, seed, iteration, frontier),
+        Strategy::Cc => cc_kernel(dev, &csr, &colors, seed, iteration, frontier),
     };
 
-    // Capture the JPL round once; the iteration number (which reseeds
-    // the in-register hashes) and the frontier are resolved at replay.
+    // Capture the round once; the iteration number (which reseeds the
+    // in-register hashes) and the frontier are resolved at replay.
     let round = Cell::new(0u32);
     let left_cell = Cell::new(0u32);
+    let round_name = match strategy {
+        Strategy::Jpl => "naumov::jpl_round",
+        Strategy::Cc => "naumov::cc_round",
+    };
     let pipeline = compact_frontier.then(|| {
-        dev.capture("naumov::jpl_round", || {
+        dev.capture(round_name, || {
             let cur = frontier.borrow();
-            jpl_kernel(round.get(), &cur);
+            kernel(round.get(), &cur);
             let next = ops::filter(dev, "naumov::frontier", &cur, |t, v| {
                 t.read(&colors, v as usize) == 0
             });
@@ -122,7 +144,11 @@ fn jpl_on_with(dev: &Device, g: &Csr, seed: u64, compact_frontier: bool) -> Colo
 
     let mut iterations = 0u32;
     loop {
-        assert!(iterations < MAX_ITERATIONS, "JPL failed to terminate");
+        assert!(
+            iterations < MAX_ITERATIONS,
+            "{} failed to terminate",
+            strategy.name()
+        );
         // One span per bulk-synchronous iteration: kernel events emitted
         // by the device below nest inside it on the tracing thread.
         let mut iter_span = gc_telemetry::span("iteration");
@@ -137,7 +163,7 @@ fn jpl_on_with(dev: &Device, g: &Csr, seed: u64, compact_frontier: bool) -> Colo
             dev.replay(pipeline);
             left_cell.get()
         } else {
-            jpl_kernel(iterations, &frontier.borrow());
+            kernel(iterations, &frontier.borrow());
             remaining.set(0, 0);
             dev.launch("naumov::count_uncolored", n, |t| {
                 let v = t.tid();
@@ -150,7 +176,10 @@ fn jpl_on_with(dev: &Device, g: &Csr, seed: u64, compact_frontier: bool) -> Colo
         dev.sync();
         if iter_span.is_recording() {
             iter_span.attr("frontier_uncolored", left);
-            iter_span.attr("colors_so_far", iterations + 1);
+            iter_span.attr(
+                "colors_so_far",
+                (iterations + 1) * strategy.colors_per_iteration(),
+            );
             iter_span.set_model_range(iter_model0, dev.elapsed_ms());
         }
         iterations += 1;
@@ -164,147 +193,103 @@ fn jpl_on_with(dev: &Device, g: &Csr, seed: u64, compact_frontier: bool) -> Colo
     ColoringResult::new(colors.to_vec(), iterations, model_ms, launches).with_profile(dev.profile())
 }
 
-/// Number of hash functions per `Color_CC` iteration.
-pub const CC_HASHES: u32 = 6;
-
-/// `Naumov/Color_CC`.
-pub fn naumov_cc(g: &Csr, seed: u64) -> ColoringResult {
-    let dev = Device::k40c();
-    cc_on(&dev, g, seed)
+/// One JPL iteration: uncolored local maxima of this iteration's hash
+/// take color `iteration + 1`.
+fn jpl_kernel(
+    dev: &Device,
+    csr: &DeviceCsr,
+    colors: &DeviceBuffer<u32>,
+    seed: u64,
+    iteration: u32,
+    frontier: &Frontier,
+) {
+    let color = iteration + 1;
+    ops::compute(dev, "naumov::jpl_kernel", frontier, |t, v| {
+        if t.read(colors, v as usize) != 0 {
+            return;
+        }
+        t.charge(HASH_CYCLES);
+        let kv = key(seed, iteration, 0, v);
+        let mut is_max = true;
+        let (s, e) = csr.neighbor_range(t, v);
+        for slot in s..e {
+            let u = csr.neighbor(t, slot);
+            // Skip only neighbors colored in *earlier* iterations; a
+            // racing write of this iteration's color must still be
+            // compared (the same reasoning as Algorithm 5's lines 26-28:
+            // the hash comparison is deterministic either way).
+            let cu = t.read(colors, u as usize);
+            if cu != 0 && cu != color {
+                continue;
+            }
+            t.charge(HASH_CYCLES);
+            if key(seed, iteration, 0, u) > kv {
+                is_max = false;
+                break;
+            }
+        }
+        if is_max {
+            t.write(colors, v as usize, color);
+        }
+    });
 }
 
-/// `Naumov/Color_CC` on a provided device (frontier-compacted; see
-/// [`jpl_on`]).
-pub fn cc_on(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
-    cc_on_with(dev, g, seed, true)
-}
-
-/// `Naumov/Color_CC` with the pre-compaction launch shape (see
-/// [`jpl_on_full`]).
-pub fn cc_on_full(dev: &Device, g: &Csr, seed: u64) -> ColoringResult {
-    cc_on_with(dev, g, seed, false)
-}
-
-fn cc_on_with(dev: &Device, g: &Csr, seed: u64, compact_frontier: bool) -> ColoringResult {
-    use std::cell::{Cell, RefCell};
-
-    let _pool = compact_frontier.then(gc_vgpu::pool::lease);
-    let n = g.num_vertices();
-    let csr = gc_gunrock::DeviceCsr::upload(dev, g);
-    let colors = DeviceBuffer::<u32>::zeroed(n);
-    dev.reset();
-    let launches_before = dev.profile().launches;
-
-    let frontier = RefCell::new(Frontier::all(n));
-    let remaining = DeviceBuffer::<u32>::zeroed(1);
-
-    let cc_kernel = |iteration: u32, frontier: &Frontier| {
-        let base = iteration * 2 * CC_HASHES;
-        ops::compute(dev, "naumov::cc_kernel", frontier, |t, v| {
-            if t.read(&colors, v as usize) != 0 {
+/// One CC iteration: every hash function contributes a max-set and a
+/// min-set, colors `base + 1 ..= base + 2 * CC_HASHES`.
+fn cc_kernel(
+    dev: &Device,
+    csr: &DeviceCsr,
+    colors: &DeviceBuffer<u32>,
+    seed: u64,
+    iteration: u32,
+    frontier: &Frontier,
+) {
+    let base = iteration * 2 * CC_HASHES;
+    ops::compute(dev, "naumov::cc_kernel", frontier, |t, v| {
+        if t.read(colors, v as usize) != 0 {
+            return;
+        }
+        // One neighbor sweep evaluating all hash functions at once, as
+        // csrcolor does (compute-heavy, memory traffic unchanged).
+        let mut is_max = [true; CC_HASHES as usize];
+        let mut is_min = [true; CC_HASHES as usize];
+        let mut kv = [0u64; CC_HASHES as usize];
+        for (h, k) in kv.iter_mut().enumerate() {
+            t.charge(HASH_CYCLES);
+            *k = key(seed, iteration, h as u32, v);
+        }
+        // Full-row scan (no early exit): bulk-billed neighbor run.
+        for u in csr.neighbors_seq(t, v) {
+            // Skip only neighbors from earlier iterations; this
+            // iteration's colors are all > base and stay compared.
+            let cu = t.read(colors, u as usize);
+            if cu != 0 && cu <= base {
+                continue;
+            }
+            for h in 0..CC_HASHES as usize {
+                t.charge(HASH_CYCLES);
+                let ku = key(seed, iteration, h as u32, u);
+                if ku > kv[h] {
+                    is_max[h] = false;
+                }
+                if ku < kv[h] {
+                    is_min[h] = false;
+                }
+            }
+        }
+        // First satisfied criterion wins; each criterion's set is
+        // independent so per-criterion colors never conflict.
+        for h in 0..CC_HASHES {
+            if is_max[h as usize] {
+                t.write(colors, v as usize, base + 2 * h + 1);
                 return;
             }
-            // One neighbor sweep evaluating all hash functions at once,
-            // as csrcolor does (compute-heavy, memory traffic unchanged).
-            let mut is_max = [true; CC_HASHES as usize];
-            let mut is_min = [true; CC_HASHES as usize];
-            let mut kv = [0u64; CC_HASHES as usize];
-            for (h, k) in kv.iter_mut().enumerate() {
-                t.charge(HASH_CYCLES);
-                *k = key(seed, iteration, h as u32, v);
+            if is_min[h as usize] {
+                t.write(colors, v as usize, base + 2 * h + 2);
+                return;
             }
-            // Full-row scan (no early exit): bulk-billed neighbor run.
-            for u in csr.neighbors_seq(t, v) {
-                // Skip only neighbors from earlier iterations; this
-                // iteration's colors are all > base and stay compared.
-                let cu = t.read(&colors, u as usize);
-                if cu != 0 && cu <= base {
-                    continue;
-                }
-                for h in 0..CC_HASHES as usize {
-                    t.charge(HASH_CYCLES);
-                    let ku = key(seed, iteration, h as u32, u);
-                    if ku > kv[h] {
-                        is_max[h] = false;
-                    }
-                    if ku < kv[h] {
-                        is_min[h] = false;
-                    }
-                }
-            }
-            // First satisfied criterion wins; each criterion's set is
-            // independent so per-criterion colors never conflict.
-            for h in 0..CC_HASHES {
-                if is_max[h as usize] {
-                    t.write(&colors, v as usize, base + 2 * h + 1);
-                    return;
-                }
-                if is_min[h as usize] {
-                    t.write(&colors, v as usize, base + 2 * h + 2);
-                    return;
-                }
-            }
-        });
-    };
-
-    // Capture the CC round once (see `jpl_on_with`): the iteration
-    // number reseeds all CC_HASHES hash functions at replay time.
-    let round = Cell::new(0u32);
-    let left_cell = Cell::new(0u32);
-    let pipeline = compact_frontier.then(|| {
-        dev.capture("naumov::cc_round", || {
-            let cur = frontier.borrow();
-            cc_kernel(round.get(), &cur);
-            let next = ops::filter(dev, "naumov::frontier", &cur, |t, v| {
-                t.read(&colors, v as usize) == 0
-            });
-            left_cell.set(next.len() as u32);
-            drop(cur);
-            *frontier.borrow_mut() = next;
-        })
+        }
     });
-
-    let mut iterations = 0u32;
-    loop {
-        assert!(iterations < MAX_ITERATIONS, "CC failed to terminate");
-        // One span per bulk-synchronous iteration (see `jpl_on`).
-        let mut iter_span = gc_telemetry::span("iteration");
-        let iter_model0 = if iter_span.is_recording() {
-            dev.elapsed_ms()
-        } else {
-            0.0
-        };
-        iter_span.attr("iteration", iterations);
-        let left = if let Some(pipeline) = &pipeline {
-            round.set(iterations);
-            dev.replay(pipeline);
-            left_cell.get()
-        } else {
-            cc_kernel(iterations, &frontier.borrow());
-            remaining.set(0, 0);
-            dev.launch("naumov::count_uncolored", n, |t| {
-                let v = t.tid();
-                if t.read(&colors, v) == 0 {
-                    t.atomic_add(&remaining, 0, 1);
-                }
-            });
-            dev.download(&remaining)[0]
-        };
-        dev.sync();
-        if iter_span.is_recording() {
-            iter_span.attr("frontier_uncolored", left);
-            iter_span.attr("colors_so_far", (iterations + 1) * 2 * CC_HASHES);
-            iter_span.set_model_range(iter_model0, dev.elapsed_ms());
-        }
-        iterations += 1;
-        if left == 0 {
-            break;
-        }
-    }
-
-    let model_ms = dev.elapsed_ms();
-    let launches = dev.profile().launches - launches_before;
-    ColoringResult::new(colors.to_vec(), iterations, model_ms, launches).with_profile(dev.profile())
 }
 
 #[cfg(test)]
@@ -384,10 +369,10 @@ mod tests {
             star(16),
         ] {
             let dev = Device::k40c;
-            let (jc, jf) = (jpl_on(&dev(), &g, 4), jpl_on_full(&dev(), &g, 4));
+            let (jc, jf) = (jpl_on(&dev(), &g, 4, true), jpl_on(&dev(), &g, 4, false));
             assert_eq!(jc.coloring, jf.coloring);
             assert_eq!(jc.iterations, jf.iterations);
-            let (cc, cf) = (cc_on(&dev(), &g, 4), cc_on_full(&dev(), &g, 4));
+            let (cc, cf) = (cc_on(&dev(), &g, 4, true), cc_on(&dev(), &g, 4, false));
             assert_eq!(cc.coloring, cf.coloring);
             assert_eq!(cc.iterations, cf.iterations);
         }

@@ -36,21 +36,7 @@
 use gc_graph::Csr;
 use gc_vgpu::Device;
 
-/// Minimum excluded color: the smallest color `>= 1` absent from
-/// `forbidden` (0 entries — uncolored neighbors — are ignored). Sorts
-/// in place; the same routine the gc-shard repair loop hardwires.
-pub fn mex(forbidden: &mut [u32]) -> u32 {
-    forbidden.sort_unstable();
-    let mut c = 1u32;
-    for &f in forbidden.iter() {
-        match f.cmp(&c) {
-            std::cmp::Ordering::Less => {}
-            std::cmp::Ordering::Equal => c += 1,
-            std::cmp::Ordering::Greater => break,
-        }
-    }
-    c
-}
+use crate::repair::mex;
 
 /// Stop conditions for [`reduce_colors`]. The pass loop ends at the
 /// first of: a pass that moves no vertex, `max_passes` passes, or
@@ -234,6 +220,8 @@ mod tests {
         reduce_colors(&Device::k40c(), g, colors, budget)
     }
 
+    /// The pass recolors by the shared [`mex`] rule; pin the cases the
+    /// color-reduction loop relies on.
     #[test]
     fn mex_matches_definition() {
         assert_eq!(mex(&mut []), 1);

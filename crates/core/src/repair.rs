@@ -1,24 +1,29 @@
-//! Reusable speculate-recolor frontier repair.
+//! Single-device coloring repair: the smallest-free-color rule, the
+//! host-side first-fit sweeps, and the speculate-recolor frontier loop.
 //!
-//! This module factors the conflict-repair machinery out of the
-//! multi-device boundary loop so a second caller — the incremental
-//! recoloring path behind `gc-net`'s `MutateEdges` verb — does not have
-//! to copy it. Two layers:
+//! Every path that recolors vertices of an existing coloring shares
+//! this module:
 //!
+//! * [`mex`] — the smallest-free-color rule. Recoloring a vertex to the
+//!   mex of its neighborhood can never create a new conflict, which is
+//!   what the short-cutting IS commits, the hybrid colorer, the
+//!   color-reduction post-pass and every repair loop rely on.
+//! * `first_fit_sweep` — one ascending host sweep giving selected
+//!   vertices their mex. [`greedy_repair_host`] is the sweep over
+//!   clashing vertices (the deterministic cap-exceeded fallback of
+//!   [`repair_frontier`] and of gc-shard's multi-device resolver);
+//!   `Hybrid/Color_JP` runs it over its uncolored straggler tail.
 //! * [`repair_frontier`] — the **single-device** bounded
 //!   speculate-recolor loop. Given a coloring that is proper everywhere
 //!   except possibly on edges incident to a small *frontier* of suspect
 //!   vertices (e.g. the endpoints of freshly inserted edges), it runs
-//!   the same round structure as the cross-device resolver, entirely on
-//!   one device: detect monochromatic edges among the frontier, flag the
-//!   higher-id endpoint of each as the loser, and recolor the losers
-//!   that are locally maximal among losers — an independent set, so a
-//!   round never creates a new conflict and the globally largest loser
-//!   always acts, which makes the conflict count strictly decrease.
-//! * [`mex`] / [`greedy_repair_host`] — the smallest-free-color rule and
-//!   the deterministic host-side fallback shared by this loop and the
-//!   multi-device resolver in [`crate::run_sharded`] (used only if the
-//!   round cap is ever hit).
+//!   the same round structure as gc-shard's cross-device resolver,
+//!   entirely on one device: detect monochromatic edges among the
+//!   frontier, flag the higher-id endpoint of each as the loser, and
+//!   recolor the losers that are locally maximal among losers — an
+//!   independent set, so a round never creates a new conflict and the
+//!   globally largest loser always acts, which makes the conflict count
+//!   strictly decrease. gc-net's `MutateEdges` verb repairs through it.
 //!
 //! The frontier contract: **both** endpoints of every possibly-improper
 //! edge must be in the frontier. Edge inserts satisfy this by
@@ -28,7 +33,7 @@
 //! ```
 //! use gc_graph::GraphBuilder;
 //! use gc_core::verify::is_proper;
-//! use gc_shard::repair::repair_frontier;
+//! use gc_core::repair::repair_frontier;
 //! use gc_vgpu::Device;
 //!
 //! // A path 0-1-2 colored properly, then edge (0, 2) appears.
@@ -59,9 +64,9 @@ pub struct RepairOutcome {
     pub clean: bool,
 }
 
-/// Smallest positive color absent from `forbidden` (which is sorted in
-/// place). The "mex" rule every repair path uses: recoloring a vertex to
-/// the mex of its neighborhood can never create a new conflict.
+/// Minimum excluded color: the smallest color `>= 1` absent from
+/// `forbidden` (0 entries — uncolored neighbors — are ignored). Sorts
+/// in place.
 pub fn mex(forbidden: &mut [u32]) -> u32 {
     forbidden.sort_unstable();
     let mut c = 1u32;
@@ -75,23 +80,44 @@ pub fn mex(forbidden: &mut [u32]) -> u32 {
     c
 }
 
+/// One ascending host sweep: every vertex `v` for which
+/// `recolor(colors, v)` holds (evaluated when the sweep reaches `v`, so
+/// it sees earlier recolorings) takes the [`mex`] of its neighbors'
+/// colors. Returns `(vertices recolored, neighbor visits made while
+/// recoloring them)` — the work a CPU-model bill charges.
+pub(crate) fn first_fit_sweep(
+    g: &Csr,
+    colors: &mut [u32],
+    recolor: impl Fn(&[u32], VertexId) -> bool,
+) -> (u64, u64) {
+    let (mut vertices, mut edge_visits) = (0u64, 0u64);
+    let mut forbidden: Vec<u32> = Vec::new();
+    for v in 0..g.num_vertices() as VertexId {
+        if !recolor(colors, v) {
+            continue;
+        }
+        vertices += 1;
+        forbidden.clear();
+        for &u in g.neighbors(v) {
+            edge_visits += 1;
+            forbidden.push(colors[u as usize]);
+        }
+        colors[v as usize] = mex(&mut forbidden);
+    }
+    (vertices, edge_visits)
+}
+
 /// Deterministic host-side repair: one ascending sweep recoloring any
 /// vertex that clashes with a smaller-id neighbor. Vertices processed
 /// earlier never change afterwards, so the sweep leaves the coloring
-/// proper. Shared cap-exceeded fallback of both the multi-device
+/// proper. Shared cap-exceeded fallback of gc-shard's multi-device
 /// resolver and [`repair_frontier`].
 pub fn greedy_repair_host(g: &Csr, colors: &mut [u32]) {
-    for v in 0..g.num_vertices() as VertexId {
-        let clash = g
-            .neighbors(v)
+    first_fit_sweep(g, colors, |colors, v| {
+        g.neighbors(v)
             .iter()
-            .any(|&u| u < v && colors[u as usize] == colors[v as usize]);
-        if clash {
-            let mut forbidden: Vec<u32> =
-                g.neighbors(v).iter().map(|&u| colors[u as usize]).collect();
-            colors[v as usize] = mex(&mut forbidden);
-        }
-    }
+            .any(|&u| u < v && colors[u as usize] == colors[v as usize])
+    });
 }
 
 /// Runs the bounded single-device speculate-recolor loop over `frontier`,
@@ -222,15 +248,19 @@ pub fn repair_frontier(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gc_core::runner::colorer_by_name;
-    use gc_core::verify::is_proper;
+    use crate::runner::colorer_by_name;
+    use crate::verify::is_proper;
     use gc_graph::generators::erdos_renyi;
     use gc_graph::{apply_edge_delta, EdgeDelta, GraphBuilder};
 
     #[test]
     fn mex_takes_smallest_free_color() {
         assert_eq!(mex(&mut []), 1);
+        assert_eq!(mex(&mut [0, 0]), 1);
         assert_eq!(mex(&mut [2, 3]), 1);
+        assert_eq!(mex(&mut [1, 2, 3]), 4);
+        assert_eq!(mex(&mut [3, 1]), 2);
+        assert_eq!(mex(&mut [1, 1, 2, 4]), 3);
         assert_eq!(mex(&mut [1, 2, 4]), 3);
         assert_eq!(mex(&mut [1, 1, 2, 2]), 3);
         assert_eq!(mex(&mut [3, 1, 2]), 4);

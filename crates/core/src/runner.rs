@@ -8,6 +8,7 @@
 use gc_graph::Csr;
 
 use crate::color::ColoringResult;
+use crate::gblas_jpl::JplConfig;
 use crate::greedy::Ordering;
 use crate::gunrock_hash::HashConfig;
 use crate::gunrock_is::IsConfig;
@@ -18,24 +19,36 @@ use crate::{
 };
 
 /// Which algorithm a [`Colorer`] runs.
+///
+/// Every GPU colorer with a frontier-compacted fast path carries its
+/// frontier mode here (`compact_frontier`, or the config/variant that
+/// holds it), so the paper-shaped full-width baseline of any kind is
+/// one [`ColorerKind::uncompacted`] away.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ColorerKind {
     CpuGreedy(Ordering),
     CpuJonesPlassmann,
     GunrockIs(IsConfig),
     GunrockHash(HashConfig),
-    GunrockAr,
-    /// The paper-shaped AR baseline: full-width launches, no frontier
-    /// compaction, no launch-graph capture. Anchors the Table II ladder.
-    GunrockArFull,
-    GblasIs,
-    /// Short-cutting GraphBLAST IS (quality tier): Luby winners take
-    /// the lowest legal color instead of the round index.
-    GblasIsSc,
-    GblasMis,
-    GblasJpl,
-    NaumovJpl,
-    NaumovCc,
+    GunrockAr {
+        compact_frontier: bool,
+    },
+    /// Also the short-cutting quality-tier variant
+    /// ([`gblas_is::Variant::ShortCut`]): Luby winners take the lowest
+    /// legal color instead of the round index.
+    GblasIs(gblas_is::Variant),
+    GblasMis {
+        compact_frontier: bool,
+    },
+    GblasJpl {
+        compact_frontier: bool,
+    },
+    NaumovJpl {
+        compact_frontier: bool,
+    },
+    NaumovCc {
+        compact_frontier: bool,
+    },
     /// Quality tier: min-max first-fit Jones-Plassmann on device,
     /// sequential greedy on the straggler tail (Rai & Pai).
     HybridJp(HybridConfig),
@@ -44,6 +57,40 @@ pub enum ColorerKind {
     /// Related-work baseline (§II.A): shared-memory Gebremedhin-Manne
     /// on host threads.
     GebremedhinManneCpu,
+}
+
+impl ColorerKind {
+    /// The same algorithm with the paper's launch shape: full-width
+    /// frontiers, one dispatch per operator, no launch-graph capture —
+    /// the transcription before this repository's compaction passes.
+    /// Colorings and iteration counts match the compacted form exactly.
+    ///
+    /// `None` for kinds with no full-width form: the host colorers,
+    /// Gebremedhin-Manne, the hybrid, and the short-cutting GraphBLAST
+    /// IS (first-fit commits exist only on its compacted round).
+    pub fn uncompacted(self) -> Option<ColorerKind> {
+        use ColorerKind::*;
+        let compact_frontier = false;
+        Some(match self {
+            GunrockIs(cfg) => GunrockIs(IsConfig {
+                compact_frontier,
+                ..cfg
+            }),
+            GunrockHash(cfg) => GunrockHash(HashConfig {
+                compact_frontier,
+                ..cfg
+            }),
+            GunrockAr { .. } => GunrockAr { compact_frontier },
+            GblasIs(gblas_is::Variant::ShortCut) => return None,
+            GblasIs(_) => GblasIs(gblas_is::Variant::FullWidth),
+            GblasMis { .. } => GblasMis { compact_frontier },
+            GblasJpl { .. } => GblasJpl { compact_frontier },
+            NaumovJpl { .. } => NaumovJpl { compact_frontier },
+            NaumovCc { .. } => NaumovCc { compact_frontier },
+            CpuGreedy(_) | CpuJonesPlassmann | HybridJp(_) | GebremedhinManne
+            | GebremedhinManneCpu => return None,
+        })
+    }
 }
 
 /// A named coloring implementation.
@@ -113,42 +160,49 @@ impl Colorer {
         g: &Csr,
         seed: u64,
     ) -> Option<ColoringResult> {
-        match self.kind {
+        Some(match self.kind {
             ColorerKind::CpuGreedy(_)
             | ColorerKind::CpuJonesPlassmann
-            | ColorerKind::GebremedhinManneCpu => None,
-            ColorerKind::GunrockIs(cfg) => Some(gunrock_is::run_on(dev, g, seed, cfg)),
-            ColorerKind::GunrockHash(cfg) => Some(gunrock_hash::run_on(dev, g, seed, cfg)),
-            ColorerKind::GunrockAr => Some(gunrock_ar::run_on(dev, g, seed)),
-            ColorerKind::GunrockArFull => Some(gunrock_ar::run_on_full(dev, g, seed)),
-            ColorerKind::GblasIs => Some(gblas_is::run_on(dev, g, seed)),
-            ColorerKind::GblasIsSc => Some(gblas_is::run_on_sc(dev, g, seed)),
-            ColorerKind::GblasMis => Some(gblas_mis::run_on(dev, g, seed)),
-            ColorerKind::GblasJpl => Some(gblas_jpl::run_on(dev, g, seed)),
-            ColorerKind::NaumovJpl => Some(naumov::jpl_on(dev, g, seed)),
-            ColorerKind::NaumovCc => Some(naumov::cc_on(dev, g, seed)),
-            ColorerKind::GebremedhinManne => Some(gm_gpu::run_on(dev, g, seed)),
-            ColorerKind::HybridJp(cfg) => Some(hybrid::run_on(dev, g, seed, cfg)),
-        }
+            | ColorerKind::GebremedhinManneCpu => return None,
+            ColorerKind::GunrockIs(cfg) => gunrock_is::run_on(dev, g, seed, cfg),
+            ColorerKind::GunrockHash(cfg) => gunrock_hash::run_on(dev, g, seed, cfg),
+            ColorerKind::GunrockAr { compact_frontier } => {
+                gunrock_ar::run_on(dev, g, seed, compact_frontier)
+            }
+            ColorerKind::GblasIs(variant) => gblas_is::run_on(dev, g, seed, variant),
+            ColorerKind::GblasMis { compact_frontier } => {
+                gblas_mis::run_on(dev, g, seed, compact_frontier)
+            }
+            ColorerKind::GblasJpl { compact_frontier } => gblas_jpl::run_on_with(
+                dev,
+                g,
+                seed,
+                JplConfig {
+                    compact_frontier,
+                    ..JplConfig::paper()
+                },
+            ),
+            ColorerKind::NaumovJpl { compact_frontier } => {
+                naumov::jpl_on(dev, g, seed, compact_frontier)
+            }
+            ColorerKind::NaumovCc { compact_frontier } => {
+                naumov::cc_on(dev, g, seed, compact_frontier)
+            }
+            ColorerKind::GebremedhinManne => gm_gpu::run_on(dev, g, seed),
+            ColorerKind::HybridJp(cfg) => hybrid::run_on(dev, g, seed, cfg),
+        })
     }
 
+    /// Host colorers run here; every GPU kind runs on a fresh K40c
+    /// through [`Colorer::run_on_device`].
     fn run_inner(&self, g: &Csr, seed: u64) -> ColoringResult {
         match self.kind {
             ColorerKind::CpuGreedy(ord) => greedy::greedy(g, ord, seed),
             ColorerKind::CpuJonesPlassmann => jp_cpu::jones_plassmann_cpu(g, seed),
-            ColorerKind::GunrockIs(cfg) => gunrock_is::gunrock_is(g, seed, cfg),
-            ColorerKind::GunrockHash(cfg) => gunrock_hash::gunrock_hash(g, seed, cfg),
-            ColorerKind::GunrockAr => gunrock_ar::gunrock_ar(g, seed),
-            ColorerKind::GunrockArFull => gunrock_ar::gunrock_ar_full(g, seed),
-            ColorerKind::GblasIs => gblas_is::gblas_is(g, seed),
-            ColorerKind::GblasIsSc => gblas_is::gblas_is_sc(g, seed),
-            ColorerKind::GblasMis => gblas_mis::gblas_mis(g, seed),
-            ColorerKind::GblasJpl => gblas_jpl::gblas_jpl(g, seed),
-            ColorerKind::NaumovJpl => naumov::naumov_jpl(g, seed),
-            ColorerKind::NaumovCc => naumov::naumov_cc(g, seed),
-            ColorerKind::GebremedhinManne => gm_gpu::gebremedhin_manne(g, seed),
             ColorerKind::GebremedhinManneCpu => gm_cpu::gebremedhin_manne_cpu(g, seed),
-            ColorerKind::HybridJp(cfg) => hybrid::run_on(&gc_vgpu::Device::k40c(), g, seed, cfg),
+            _ => self
+                .run_on_device(&gc_vgpu::Device::k40c(), g, seed)
+                .expect("every non-host kind runs on a device"),
         }
     }
 }
@@ -172,10 +226,28 @@ pub fn all_colorers() -> Vec<Colorer> {
             "CPU/Color_Greedy",
             ColorerKind::CpuGreedy(Ordering::Natural),
         ),
-        Colorer::new("GraphBLAST/Color_IS", ColorerKind::GblasIs),
-        Colorer::new("GraphBLAST/Color_JPL", ColorerKind::GblasJpl),
-        Colorer::new("GraphBLAST/Color_MIS", ColorerKind::GblasMis),
-        Colorer::new("Gunrock/Color_AR", ColorerKind::GunrockAr),
+        Colorer::new(
+            "GraphBLAST/Color_IS",
+            ColorerKind::GblasIs(gblas_is::Variant::Compacted),
+        ),
+        Colorer::new(
+            "GraphBLAST/Color_JPL",
+            ColorerKind::GblasJpl {
+                compact_frontier: true,
+            },
+        ),
+        Colorer::new(
+            "GraphBLAST/Color_MIS",
+            ColorerKind::GblasMis {
+                compact_frontier: true,
+            },
+        ),
+        Colorer::new(
+            "Gunrock/Color_AR",
+            ColorerKind::GunrockAr {
+                compact_frontier: true,
+            },
+        ),
         Colorer::new(
             "Gunrock/Color_Hash",
             ColorerKind::GunrockHash(HashConfig::default()),
@@ -184,8 +256,18 @@ pub fn all_colorers() -> Vec<Colorer> {
             "Gunrock/Color_IS",
             ColorerKind::GunrockIs(IsConfig::min_max()),
         ),
-        Colorer::new("Naumov/Color_CC", ColorerKind::NaumovCc),
-        Colorer::new("Naumov/Color_JPL", ColorerKind::NaumovJpl),
+        Colorer::new(
+            "Naumov/Color_CC",
+            ColorerKind::NaumovCc {
+                compact_frontier: true,
+            },
+        ),
+        Colorer::new(
+            "Naumov/Color_JPL",
+            ColorerKind::NaumovJpl {
+                compact_frontier: true,
+            },
+        ),
     ]
 }
 
@@ -217,7 +299,10 @@ pub fn extension_colorers() -> Vec<Colorer> {
             "Gunrock/Color_IS_SC",
             ColorerKind::GunrockIs(IsConfig::short_cut()),
         ),
-        Colorer::new("GraphBLAST/Color_IS_SC", ColorerKind::GblasIsSc),
+        Colorer::new(
+            "GraphBLAST/Color_IS_SC",
+            ColorerKind::GblasIs(gblas_is::Variant::ShortCut),
+        ),
     ]
 }
 
@@ -253,10 +338,18 @@ pub fn all_known_colorers() -> Vec<Colorer> {
 /// harness.
 pub fn table2_variants() -> Vec<Colorer> {
     vec![
-        Colorer::new("Baseline (Advance-Reduce)", ColorerKind::GunrockArFull),
+        Colorer::new(
+            "Baseline (Advance-Reduce)",
+            ColorerKind::GunrockAr {
+                compact_frontier: false,
+            },
+        ),
         Colorer::new(
             "Hash Color",
-            ColorerKind::GunrockHash(HashConfig::full_width()),
+            ColorerKind::GunrockHash(HashConfig {
+                compact_frontier: false,
+                ..HashConfig::default()
+            }),
         ),
         Colorer::new(
             "Independent Set with Atomics",
@@ -274,7 +367,10 @@ pub fn table2_variants() -> Vec<Colorer> {
         ),
         Colorer::new(
             "Min-Max Independent Set",
-            ColorerKind::GunrockIs(IsConfig::full_width()),
+            ColorerKind::GunrockIs(IsConfig {
+                compact_frontier: false,
+                ..IsConfig::min_max()
+            }),
         ),
     ]
 }
@@ -337,6 +433,34 @@ mod tests {
         );
         let names: std::collections::HashSet<_> = known.iter().map(|c| c.name()).collect();
         assert_eq!(names.len(), known.len(), "registry names must be unique");
+    }
+
+    #[test]
+    fn uncompacted_forms_cover_every_frontier_colorer() {
+        let with_full_width: Vec<_> = all_known_colorers()
+            .into_iter()
+            .filter(|c| c.kind().uncompacted().is_some())
+            .map(|c| c.name())
+            .collect();
+        assert_eq!(
+            with_full_width,
+            [
+                "GraphBLAST/Color_IS",
+                "GraphBLAST/Color_JPL",
+                "GraphBLAST/Color_MIS",
+                "Gunrock/Color_AR",
+                "Gunrock/Color_Hash",
+                "Gunrock/Color_IS",
+                "Naumov/Color_CC",
+                "Naumov/Color_JPL",
+                "Extension/Color_IS_LDF",
+                "Extension/Color_IS_LB",
+                "Gunrock/Color_IS_SC",
+            ]
+        );
+        // First-fit GraphBLAST IS has no full-width form.
+        let sc = colorer_by_name("GraphBLAST/Color_IS_SC").unwrap();
+        assert_eq!(sc.kind().uncompacted(), None);
     }
 
     #[test]

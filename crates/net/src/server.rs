@@ -12,8 +12,8 @@
 //! The interesting verb is `MutateEdges`: instead of invalidating the
 //! stored coloring, the server applies the edge delta on the host,
 //! seeds a compacted frontier with the endpoints of the edges that
-//! actually changed, and runs `gc_shard`'s speculate-recolor loop
-//! ([`gc_shard::repair_frontier`]) on the device — touching only the
+//! actually changed, and runs gc-core's speculate-recolor loop
+//! ([`gc_core::repair::repair_frontier`]) on the device — touching only the
 //! frontier and whatever conflicts cascade from it, not all `n`
 //! vertices. The repaired coloring is re-verified and carried into the
 //! service's result cache under the new lineage fingerprint
@@ -39,7 +39,7 @@ use gc_vgpu::Device;
 use crate::wire::*;
 
 /// Rounds the incremental repair loop may take before falling back to
-/// the deterministic host pass (mirrors `gc_shard`'s conflict-round cap).
+/// the deterministic host pass (mirrors gc-shard's conflict-round cap).
 const MAX_REPAIR_ROUNDS: u32 = 64;
 
 /// Server tuning. The embedded [`ServiceConfig`] controls the worker
@@ -643,7 +643,7 @@ fn handle_mutate(
         let mut colors = stored.response.coloring.as_slice().to_vec();
         let dev = conn.device();
         let before = dev.profile().thread_executions;
-        let repair = gc_shard::repair_frontier(
+        let repair = gc_core::repair::repair_frontier(
             dev,
             &new_graph,
             &mut colors,

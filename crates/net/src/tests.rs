@@ -353,7 +353,7 @@ fn per_verb_counters_and_spans_are_recorded() {
 
     // The request lifecycle is visible as spans: net_request with the
     // verb attribute, decode/ingest/admit/encode children, and the
-    // mutation's repair span from gc-shard.
+    // mutation's repair span from gc_core::repair.
     let records = tracer.records();
     let net_requests: Vec<_> = records.iter().filter(|r| r.name == "net_request").collect();
     assert!(net_requests.len() >= 4, "one span per handled frame");
@@ -371,7 +371,7 @@ fn per_verb_counters_and_spans_are_recorded() {
     }
     assert!(
         records.iter().any(|r| r.name == "repair_frontier"),
-        "the incremental repair must trace through gc-shard's span"
+        "the incremental repair must trace through gc_core::repair's span"
     );
 }
 
@@ -585,7 +585,7 @@ proptest! {
                 Ok(o) => o,
                 Err(_) => continue,
             };
-            gc_shard::repair_frontier(&dev, &out.graph, &mut colors, &out.touched, 64);
+            gc_core::repair::repair_frontier(&dev, &out.graph, &mut colors, &out.touched, 64);
             prop_assert!(
                 is_proper(&out.graph, &colors).is_ok(),
                 "incremental repair must keep the coloring proper"

@@ -85,10 +85,20 @@ pub fn choose(feats: &GraphFeatures, objective: &Objective) -> Result<Colorer, S
                     ColorerKind::CpuGreedy(Ordering::Natural),
                 ))
             } else {
-                Ok(Colorer::new("Naumov/Color_CC", ColorerKind::NaumovCc))
+                Ok(Colorer::new(
+                    "Naumov/Color_CC",
+                    ColorerKind::NaumovCc {
+                        compact_frontier: true,
+                    },
+                ))
             }
         }
-        Objective::FewestColors => Ok(Colorer::new("GraphBLAST/Color_MIS", ColorerKind::GblasMis)),
+        Objective::FewestColors => Ok(Colorer::new(
+            "GraphBLAST/Color_MIS",
+            ColorerKind::GblasMis {
+                compact_frontier: true,
+            },
+        )),
         Objective::MinColors { .. } => {
             if feats.vertices < TINY_GRAPH_VERTICES {
                 // Sequential greedy is already first-fit quality and the

@@ -300,7 +300,7 @@ impl ServiceHandle {
     /// dropping it.
     ///
     /// A front-end that mutated a graph and *repaired* the cached
-    /// coloring incrementally (see `gc_shard::repair_frontier`) calls
+    /// coloring incrementally (see `gc_core::repair::repair_frontier`) calls
     /// this with the old cache key, the new key (same colorer/seed/
     /// devices, `graph_fp` advanced along the version lineage via
     /// [`crate::cache::lineage_fingerprint`]), and the repaired, already
@@ -693,7 +693,7 @@ mod tests {
         };
         let out = apply_edge_delta(&g, &delta).unwrap();
         let mut colors = first.coloring.as_slice().to_vec();
-        gc_shard::repair::greedy_repair_host(&out.graph, &mut colors);
+        gc_core::repair::greedy_repair_host(&out.graph, &mut colors);
         assert!(is_proper(&out.graph, &colors).is_ok());
 
         let new_fp = lineage_fingerprint(base_fp, &delta);

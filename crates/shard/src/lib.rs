@@ -72,14 +72,15 @@
 //! ```
 
 use gc_core::color::ColoringResult;
+use gc_core::repair;
 use gc_core::runner::Colorer;
 use gc_core::verify::is_proper;
 use gc_graph::{Csr, Partition, PartitionStrategy, VertexId};
 use gc_vgpu::{Device, DeviceBuffer, ProfileReport, TransferEvent};
 
-pub mod repair;
-
-pub use repair::{greedy_repair_host, repair_frontier, RepairOutcome};
+// Single-device repair lives in `gc_core::repair`; re-exported here for
+// callers that reach it through the sharding layer.
+pub use gc_core::repair::{greedy_repair_host, repair_frontier, RepairOutcome};
 
 /// Hard cap on conflict-resolution rounds. The loop terminates on its
 /// own (every monochromatic cluster's largest vertex recolors each

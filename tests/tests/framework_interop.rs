@@ -61,7 +61,12 @@ fn device_profile_explains_framework_gap() {
             ..IsConfig::min_max()
         },
     );
-    let gb = gc_core::gblas_is::run_on_full(&Device::k40c(), &g, 2);
+    let gb = gc_core::gblas_is::run_on(
+        &Device::k40c(),
+        &g,
+        2,
+        gc_core::gblas_is::Variant::FullWidth,
+    );
     let gr_per_iter = gr.kernel_launches as f64 / gr.iterations as f64;
     let gb_per_iter = gb.kernel_launches as f64 / gb.iterations as f64;
     assert!(
@@ -98,7 +103,7 @@ fn profiler_reports_vxm_dominates_mis() {
     let frac = |n: usize, p: f64| {
         let dev = Device::k40c();
         let g = erdos_renyi(n, p, 3);
-        let _ = gc_core::gblas_mis::run_on_full(&dev, &g, 5);
+        let _ = gc_core::gblas_mis::run_on(&dev, &g, 5, false);
         dev.profile().time_fraction("vxm")
     };
     let small = frac(2_000, 0.01);
