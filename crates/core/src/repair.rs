@@ -23,7 +23,8 @@
 //!   recolor the losers that are locally maximal among losers — an
 //!   independent set, so a round never creates a new conflict and the
 //!   globally largest loser always acts, which makes the conflict count
-//!   strictly decrease. gc-net's `MutateEdges` verb repairs through it.
+//!   strictly decrease. gc-service's repair job (behind gc-net's
+//!   `MutateEdges` verb) runs it under [`MAX_REPAIR_ROUNDS`].
 //!
 //! The frontier contract: **both** endpoints of every possibly-improper
 //! edge must be in the frontier. Edge inserts satisfy this by
@@ -47,6 +48,16 @@
 
 use gc_graph::{Csr, VertexId};
 use gc_vgpu::{Device, DeviceBuffer};
+
+/// Round cap of every speculate-recolor loop: [`repair_frontier`] as
+/// gc-service's repair job runs it, and gc-shard's cross-device
+/// resolver (`gc_shard::MAX_CONFLICT_ROUNDS`). The loops terminate on
+/// their own (every monochromatic cluster's largest vertex recolors
+/// each round); the cap bounds the worst case, after which
+/// [`greedy_repair_host`] fixes the remainder and the coloring is still
+/// proper. `bench-check` rejects any benchmark row whose conflict
+/// rounds exceed it.
+pub const MAX_REPAIR_ROUNDS: u32 = 64;
 
 /// What a [`repair_frontier`] run did.
 #[derive(Clone, Debug, Default)]

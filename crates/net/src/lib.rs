@@ -12,8 +12,9 @@
 //!   insert/delete delta server-side. Instead of recoloring from
 //!   scratch, the server repairs the stored coloring *incrementally*:
 //!   only the endpoints of changed edges (plus whatever conflicts
-//!   cascade) enter a compacted frontier driven through
-//!   `gc_core::repair`'s speculate-recolor loop on the device. The result cache is not
+//!   cascade) enter a compacted frontier, which a service worker drives
+//!   through the speculate-recolor loop as a repair job
+//!   ([`gc_service::ServiceHandle::repair`]). The result cache is not
 //!   invalidated but *revalidated* — the repaired entry is re-keyed
 //!   under an `O(Δ)` version-lineage fingerprint
 //!   ([`gc_service::lineage_fingerprint`]), so the next `Color` on the

@@ -10,15 +10,15 @@
 //! coloring.
 //!
 //! The interesting verb is `MutateEdges`: instead of invalidating the
-//! stored coloring, the server applies the edge delta on the host,
-//! seeds a compacted frontier with the endpoints of the edges that
-//! actually changed, and runs gc-core's speculate-recolor loop
-//! ([`gc_core::repair::repair_frontier`]) on the device — touching only the
-//! frontier and whatever conflicts cascade from it, not all `n`
-//! vertices. The repaired coloring is re-verified and carried into the
-//! service's result cache under the new lineage fingerprint
-//! ([`gc_service::ServiceHandle::revalidate_cached`]), so the next
-//! `Color` for the mutated graph is a cache hit.
+//! stored coloring, the server applies the edge delta on the host and
+//! hands the stored coloring, the mutated graph and the endpoints of the
+//! edges that actually changed to the service as a repair job
+//! ([`gc_service::ServiceHandle::repair`]). A service worker runs the
+//! speculate-recolor loop on a device — touching only that frontier and
+//! whatever conflicts cascade from it, not all `n` vertices —
+//! re-verifies the result and carries it into the result cache under
+//! the new lineage fingerprint, so the next `Color` for the mutated
+//! graph is a cache hit.
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -28,19 +28,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gc_core::verify::is_proper;
 use gc_graph::{apply_edge_delta, Csr};
 use gc_service::{
-    lineage_fingerprint, CacheKey, ColorRequest, ColorResponse, ColoringService, Objective,
-    ServiceConfig, ServiceError, ServiceHandle,
+    lineage_fingerprint, ColorRequest, ColorResponse, ColoringService, Objective, ServiceConfig,
+    ServiceError, ServiceHandle,
 };
-use gc_vgpu::Device;
 
 use crate::wire::*;
-
-/// Rounds the incremental repair loop may take before falling back to
-/// the deterministic host pass (mirrors gc-shard's conflict-round cap).
-const MAX_REPAIR_ROUNDS: u32 = 64;
 
 /// Server tuning. The embedded [`ServiceConfig`] controls the worker
 /// pool, cache, and telemetry; tracer and metrics are shared by the
@@ -59,14 +53,9 @@ struct GraphEntry {
     /// fingerprint at submit, advanced by [`lineage_fingerprint`] on
     /// each mutation.
     fingerprint: u64,
-    /// Latest coloring of the current version, with the cache key it
-    /// was stored under.
-    stored: Option<Stored>,
-}
-
-struct Stored {
-    key: CacheKey,
-    response: ColorResponse,
+    /// Latest coloring of the current version (its `key` is the cache
+    /// key the service stored it under).
+    stored: Option<ColorResponse>,
 }
 
 /// State shared by the accept loop and every connection thread.
@@ -241,18 +230,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// Per-connection scratch: the device the incremental repairs of this
-/// connection run on, created on the first `MutateEdges` that needs it.
-struct ConnState {
-    repair_device: Option<Device>,
-}
-
-impl ConnState {
-    fn device(&mut self) -> &Device {
-        self.repair_device.get_or_insert_with(Device::k40c)
-    }
-}
-
 fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
     let peer = stream
         .peer_addr()
@@ -263,9 +240,6 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream.try_clone().expect("clone TCP stream"));
     let mut writer = BufWriter::new(stream);
-    let mut conn = ConnState {
-        repair_device: None,
-    };
 
     loop {
         if shared.stopping.load(Ordering::SeqCst) {
@@ -295,7 +269,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
         let started = Instant::now();
         let mut span = gc_telemetry::span("net_request");
         span.attr("verb", verb_name(verb));
-        let outcome = handle_frame(verb, &body, &shared, &mut conn, &mut writer);
+        let outcome = handle_frame(verb, &body, &shared, &mut writer);
         shared.observe_request(verb, started.elapsed());
         match outcome {
             FrameOutcome::Ok => {
@@ -344,7 +318,6 @@ fn handle_frame(
     verb: u8,
     body: &[u8],
     shared: &Arc<Shared>,
-    conn: &mut ConnState,
     writer: &mut BufWriter<TcpStream>,
 ) -> FrameOutcome {
     shared.count_verb(verb);
@@ -376,7 +349,7 @@ fn handle_frame(
         }
         VERB_MUTATE_EDGES => {
             let msg = decode!(MutateEdges::decode(body));
-            handle_mutate(msg, shared, conn, writer)
+            handle_mutate(msg, shared, writer)
         }
         VERB_SUBSCRIBE_STATS => {
             let msg = decode!(SubscribeStats::decode(body));
@@ -484,10 +457,6 @@ fn handle_color(
         WireObjective::Explicit(name) => Objective::Explicit(name),
         WireObjective::MinColors { budget_ms } => Objective::MinColors { budget_ms },
     };
-    let reduce_budget_ms = match &objective {
-        Objective::MinColors { budget_ms } => Some(*budget_ms),
-        _ => None,
-    };
     let mut request = ColorRequest::new(graph, objective)
         .with_seed(msg.seed)
         .with_fingerprint(fingerprint);
@@ -543,22 +512,11 @@ fn handle_color(
     };
 
     // Store the coloring for GetResult / incremental repair — but only
-    // if no mutation raced past this run's version. MinColors results
-    // are stored (and later revalidated) under their budget-tagged key,
-    // mirroring the service cache's own keying.
+    // if no mutation raced past this run's version.
     {
         let mut e = entry.lock().unwrap();
         if e.version == version {
-            e.stored = Some(Stored {
-                key: CacheKey {
-                    graph_fp: fingerprint,
-                    colorer: response.colorer,
-                    seed: msg.seed,
-                    devices: response.devices,
-                    reduce_budget_ms,
-                },
-                response,
-            });
+            e.stored = Some(response);
         }
     }
 
@@ -584,8 +542,8 @@ fn handle_get_result(
             Some(s) => ResultPayload {
                 graph_id: msg.graph_id,
                 version: e.version,
-                num_colors: s.response.num_colors,
-                colors: s.response.coloring.as_slice().to_vec(),
+                num_colors: s.num_colors,
+                colors: s.coloring.as_slice().to_vec(),
             },
             None => {
                 drop(e);
@@ -603,7 +561,6 @@ fn handle_get_result(
 fn handle_mutate(
     msg: MutateEdges,
     shared: &Arc<Shared>,
-    conn: &mut ConnState,
     writer: &mut BufWriter<TcpStream>,
 ) -> FrameOutcome {
     let entry = match lookup(shared, msg.graph_id) {
@@ -629,96 +586,59 @@ fn handle_mutate(
         }
     };
     let new_fp = lineage_fingerprint(e.fingerprint, &delta);
-    let new_version = e.version + 1;
     let new_graph = Arc::new(outcome.graph);
-
-    // Incremental repair of the stored coloring, if there is one. The
-    // frontier is the compacted set of endpoints of edges that actually
-    // changed; deletions never break properness and an inserted edge
-    // can only conflict at its own endpoints, so this frontier
-    // satisfies the `repair_frontier` contract. Conflicts that cascade
-    // are picked up by the loop's later rounds.
-    let mut repair_stats = (0u32, 0u32, 0u32, 0u64, 0u32, false); // frontier, rounds, recolored, executions, num_colors, revalidated
-    if let Some(stored) = e.stored.take() {
-        let mut colors = stored.response.coloring.as_slice().to_vec();
-        let dev = conn.device();
-        let before = dev.profile().thread_executions;
-        let repair = gc_core::repair::repair_frontier(
-            dev,
-            &new_graph,
-            &mut colors,
-            &outcome.touched,
-            MAX_REPAIR_ROUNDS,
-        );
-        let executions = dev.profile().thread_executions - before;
-        if is_proper(&new_graph, &colors).is_err() {
-            // Repair failed to produce a proper coloring (cannot happen
-            // under the frontier contract; defensive): drop the stored
-            // result, apply the mutation, report no repair.
-            e.graph = Arc::clone(&new_graph);
-            e.version = new_version;
-            e.fingerprint = new_fp;
-            drop(e);
-            return send_error(
-                writer,
-                ErrCode::Internal,
-                "incremental repair produced an improper coloring",
-            );
-        }
-        let mut repaired = stored.response.clone();
-        repaired.coloring = gc_core::color::Coloring::new(colors);
-        repaired.num_colors = repaired.coloring.num_colors();
-        repaired.cache_hit = false;
-        repaired.verified = true;
-        let new_key = CacheKey {
-            graph_fp: new_fp,
-            ..stored.key.clone()
-        };
-        // Carry the cached entry across the mutation: next Color on
-        // this lineage is a cache hit instead of a recolor.
-        let revalidated =
-            shared
-                .handle
-                .revalidate_cached(&stored.key, new_key.clone(), repaired.clone());
-        repair_stats = (
-            outcome.touched.len() as u32,
-            repair.rounds,
-            repair.recolored,
-            executions,
-            repaired.num_colors,
-            revalidated,
-        );
-        e.stored = Some(Stored {
-            key: new_key,
-            response: repaired,
-        });
-    }
-
-    e.graph = new_graph;
-    e.version = new_version;
+    e.graph = Arc::clone(&new_graph);
+    e.version += 1;
     e.fingerprint = new_fp;
-    drop(e);
 
-    let (frontier, repair_rounds, recolored, repair_thread_executions, num_colors, revalidated) =
-        repair_stats;
-    span.attr("frontier", frontier);
-    span.attr("repair_rounds", repair_rounds);
-    span.attr("revalidated", revalidated);
-    drop(span);
-
-    let ack = MutateAck {
+    let mut ack = MutateAck {
         graph_id: msg.graph_id,
-        version: new_version,
+        version: e.version,
         fingerprint: new_fp,
         inserted: outcome.inserted as u32,
         deleted: outcome.deleted as u32,
-        frontier,
-        repair_rounds,
-        recolored,
-        repair_thread_executions,
-        num_colors,
-        revalidated,
+        ..MutateAck::default()
     };
+    // Incremental repair of the stored coloring, if there is one, as a
+    // service job. The frontier is the compacted set of endpoints of
+    // edges that actually changed; deletions never break properness and
+    // an inserted edge can only conflict at its own endpoints, so this
+    // frontier satisfies the repair loop's contract. Conflicts that
+    // cascade are picked up by the loop's later rounds.
+    if let Some(stored) = e.stored.take() {
+        ack.frontier = outcome.touched.len() as u32;
+        match shared
+            .handle
+            .repair(stored, new_graph, new_fp, outcome.touched)
+        {
+            Ok(repaired) => {
+                ack.repair_rounds = repaired.outcome.rounds;
+                ack.recolored = repaired.outcome.recolored;
+                ack.repair_thread_executions = repaired.thread_executions;
+                ack.num_colors = repaired.response.num_colors;
+                ack.revalidated = repaired.revalidated;
+                e.stored = Some(repaired.response);
+            }
+            Err(err) => {
+                // The mutation stands; the coloring that no longer fits
+                // it is dropped.
+                drop(e);
+                let message = match err {
+                    ServiceError::ImproperColoring(_) => {
+                        "incremental repair produced an improper coloring".to_string()
+                    }
+                    other => other.to_string(),
+                };
+                return send_error(writer, ErrCode::Internal, message);
+            }
+        }
+    }
+    drop(e);
+
+    span.attr("frontier", ack.frontier);
+    span.attr("repair_rounds", ack.repair_rounds);
+    span.attr("revalidated", ack.revalidated);
+    drop(span);
     respond(writer, VERB_MUTATE_EDGES_OK, &ack.encode())
 }
 

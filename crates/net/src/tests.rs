@@ -376,6 +376,51 @@ fn per_verb_counters_and_spans_are_recorded() {
 }
 
 #[test]
+fn mutate_repair_runs_on_a_service_worker() {
+    let tracer = gc_telemetry::Tracer::new();
+    let config = NetServerConfig {
+        service: ServiceConfig::default().with_tracer(tracer.clone()),
+    };
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    client.submit_graph(1, &mesh()).unwrap();
+    client.color(1, WireObjective::Balanced, 0, 0).unwrap();
+    let ack = client
+        .mutate_edges(
+            1,
+            &EdgeDelta {
+                insert: vec![(0, 2)],
+                delete: vec![],
+            },
+        )
+        .unwrap();
+    assert!(ack.frontier > 0);
+    drop(client);
+    server.stop();
+
+    let records = tracer.records();
+    let lanes = tracer.lane_names();
+    let lane_of = |name: &str| -> String {
+        let record = records
+            .iter()
+            .find(|r| r.name == name)
+            .unwrap_or_else(|| panic!("missing span {name}"));
+        lanes
+            .iter()
+            .rev()
+            .find(|(lane, _)| *lane == record.lane)
+            .map(|(_, n)| n.clone())
+            .unwrap_or_else(|| panic!("lane of {name} has no name"))
+    };
+    let repair_lane = lane_of("repair_frontier");
+    assert!(
+        repair_lane.starts_with("gc-service-worker-"),
+        "repair ran on {repair_lane}"
+    );
+    assert_eq!(lane_of("net_mutate"), "gc-net-conn");
+}
+
+#[test]
 fn resubmitting_a_graph_id_resets_lineage() {
     let (server, mut client) = start_server();
     let a = mesh();

@@ -710,7 +710,7 @@ impl MutateEdges {
 
 /// MutateEdges response: what the delta did and what the incremental
 /// repair cost.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MutateAck {
     pub graph_id: u64,
     pub version: u64,
@@ -834,7 +834,7 @@ pub struct StatsTick {
     /// Boundary vertices recolored during conflict resolution, summed
     /// over all sharded requests.
     pub changed_boundary: u64,
-    /// Device-to-device bytes the delta halo exchange actually moved,
+    /// Bytes the delta halo exchange actually moved between devices,
     /// summed over all sharded requests.
     pub halo_bytes_delta: u64,
     /// Mean halo-transfer overlap ratio over sharded requests, in

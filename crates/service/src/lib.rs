@@ -16,6 +16,9 @@
 //!   operationalised;
 //! * a fingerprint-keyed LRU [result cache](cache), exploiting the
 //!   determinism of every implementation given (graph, seed);
+//! * repair jobs on the same worker pool ([`ServiceHandle::repair`]):
+//!   after a graph mutation, a stored coloring is repaired from the
+//!   mutation's frontier and its cache entry carried to the new graph;
 //! * [`ServiceStats`] with per-colorer model-ms latency histograms;
 //! * optional end-to-end observability: start the service with a
 //!   [`gc_telemetry::Tracer`] and/or
@@ -47,6 +50,6 @@ pub mod stats;
 
 pub use cache::{graph_fingerprint, lineage_fingerprint, CacheKey, LruCache};
 pub use policy::{choose, features, GraphFeatures, TINY_GRAPH_VERTICES};
-pub use request::{ColorRequest, ColorResponse, Objective, RequestMetrics, ServiceError};
+pub use request::{ColorRequest, ColorResponse, Objective, Repaired, RequestMetrics, ServiceError};
 pub use service::{ColoringService, ResponseTicket, ServiceConfig, ServiceHandle};
 pub use stats::{LatencyHistogram, ServiceStats, StatsSnapshot};

@@ -4,9 +4,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gc_core::color::Coloring;
+use gc_core::repair::RepairOutcome;
 use gc_core::verify::Violation;
 use gc_graph::Csr;
 use gc_vgpu::ProfileReport;
+
+use crate::cache::CacheKey;
 
 /// What the caller wants optimized — the axis of the paper's Figure 1
 /// time/quality trade-off. The policy engine maps each objective to a
@@ -228,6 +231,29 @@ pub struct ColorResponse {
     /// exhausting its budget (0 when no post-pass ran).
     pub reduction_passes: u32,
     pub metrics: RequestMetrics,
+    /// The result-cache key this coloring is stored under: graph
+    /// fingerprint, resolved colorer, seed, device count, and the
+    /// `MinColors` budget tag. A front-end that repairs the coloring
+    /// after a mutation advances `graph_fp` along the lineage and keeps
+    /// the rest (see [`crate::ServiceHandle::repair`]).
+    pub key: CacheKey,
+}
+
+/// A stored coloring carried across a graph mutation by
+/// [`crate::ServiceHandle::repair`].
+#[derive(Clone, Debug)]
+pub struct Repaired {
+    /// The repaired, re-verified coloring, keyed under the mutated
+    /// graph's lineage fingerprint.
+    pub response: ColorResponse,
+    /// What the speculate-recolor loop did.
+    pub outcome: RepairOutcome,
+    /// Simulated thread executions of the repair alone.
+    pub thread_executions: u64,
+    /// Whether the stored coloring's cache entry still existed and was
+    /// carried to the new key (see
+    /// [`crate::ServiceHandle::revalidate_cached`]).
+    pub revalidated: bool,
 }
 
 /// Why a request did not produce a coloring.

@@ -1,5 +1,6 @@
 //! The coloring service proper: a bounded admission queue feeding a pool
-//! of worker threads, each owning a `gc_vgpu::Device`.
+//! of worker threads. Workers own no device: every colorer run, and
+//! every repair, creates a fresh `gc_vgpu::Device` for its own metering.
 //!
 //! Lifecycle of a request:
 //!
@@ -16,6 +17,15 @@
 //!    the coloring is verified proper on the host before it is returned
 //!    and cached.
 //!
+//! The same queue carries the other kind of device work: repairing a
+//! stored coloring after its graph mutated ([`ServiceHandle::repair`]).
+//! A repair job runs `gc_core::repair::repair_frontier` on a worker,
+//! re-verifies the result and carries the cache entry to the mutated
+//! graph's key.
+//!
+//! Pooling of device buffers is scoped to one colorer run
+//! (`gc_vgpu::pool::lease`); nothing is shelved across jobs.
+//!
 //! All coordination is `std::sync::mpsc` + `Mutex`; the crate pulls in
 //! no dependencies beyond the workspace's own graph/core/vgpu crates.
 
@@ -24,17 +34,21 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use gc_core::color::Coloring;
+use gc_core::repair::{repair_frontier, MAX_REPAIR_ROUNDS};
 use gc_core::verify::is_proper;
+use gc_graph::{Csr, VertexId};
 
 use crate::cache::{graph_fingerprint, CacheKey, LruCache};
 use crate::policy;
-use crate::request::{ColorRequest, ColorResponse, RequestMetrics, ServiceError};
+use crate::request::{ColorRequest, ColorResponse, Repaired, RequestMetrics, ServiceError};
 use crate::stats::{ServiceStats, StatsSnapshot};
 
 /// Tuning knobs for [`ColoringService::start`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads, each with its own virtual device.
+    /// Worker threads. Each colorer run or repair on a worker creates
+    /// its own virtual device.
     pub workers: usize,
     /// Bounded admission-queue capacity. `try_submit` rejects beyond
     /// this; `submit` blocks.
@@ -49,12 +63,6 @@ pub struct ServiceConfig {
     /// When set, service counters, queue gauges, and per-colorer latency
     /// histograms are published here (see [`crate::stats`]).
     pub metrics: Option<gc_telemetry::MetricsRegistry>,
-    /// Pool device buffers per worker thread: allocations a colorer
-    /// drops are shelved and handed back to the next same-shaped
-    /// request instead of hitting the host allocator again. Saves the
-    /// alloc/zeroing work on every request after a worker's first for a
-    /// given graph size — the steady-state serving case.
-    pub pool_buffers: bool,
     /// Virtual devices per request. At 1 (the default) each worker
     /// colors on a single device; above 1, GPU-backed requests are
     /// sharded across this many devices via [`gc_shard::run_sharded`]
@@ -71,7 +79,6 @@ impl Default for ServiceConfig {
             cache_capacity: 128,
             tracer: None,
             metrics: None,
-            pool_buffers: true,
             devices: 1,
         }
     }
@@ -106,12 +113,24 @@ struct WorkItem {
     reply: SyncSender<Result<ColorResponse, ServiceError>>,
 }
 
+/// A stored coloring to repair after its graph mutated (see
+/// [`ServiceHandle::repair`]).
+struct RepairItem {
+    stored: ColorResponse,
+    graph: Arc<Csr>,
+    fingerprint: u64,
+    frontier: Vec<VertexId>,
+}
+
+type RepairReply = SyncSender<Result<Repaired, ServiceError>>;
+
 /// Queue protocol. `Stop` is a poison pill: shutdown enqueues one per
 /// worker *behind* all pending work, so the queue drains before the
 /// pool exits. (Relying on sender-disconnect instead would deadlock —
 /// every live `ServiceHandle` keeps the channel connected.)
 enum Job {
     Work(WorkItem),
+    Repair(Box<RepairItem>, RepairReply),
     Stop,
 }
 
@@ -149,11 +168,10 @@ impl ColoringService {
                 let stats = Arc::clone(&stats);
                 let cache = Arc::clone(&cache);
                 let tracer = config.tracer.clone();
-                let pool_buffers = config.pool_buffers;
                 let devices = config.devices.max(1);
                 std::thread::Builder::new()
                     .name(format!("gc-service-worker-{i}"))
-                    .spawn(move || worker_loop(rx, stats, cache, tracer, pool_buffers, devices))
+                    .spawn(move || worker_loop(rx, stats, cache, tracer, devices))
                     .expect("spawn service worker")
             })
             .collect();
@@ -280,7 +298,7 @@ impl ServiceHandle {
                     TrySendError::Disconnected(job) => (job, ServiceError::ShuttingDown),
                 };
                 let Job::Work(item) = job else {
-                    unreachable!("handles only send work")
+                    unreachable!("try_submit only sends work")
                 };
                 Err((item.request, err))
             }
@@ -299,14 +317,14 @@ impl ServiceHandle {
     /// Carries a cached result across a graph mutation instead of
     /// dropping it.
     ///
-    /// A front-end that mutated a graph and *repaired* the cached
-    /// coloring incrementally (see `gc_core::repair::repair_frontier`) calls
-    /// this with the old cache key, the new key (same colorer/seed/
-    /// devices, `graph_fp` advanced along the version lineage via
-    /// [`crate::cache::lineage_fingerprint`]), and the repaired, already
-    /// re-verified response. The entry is inserted under the new key, so
-    /// the next [`ColorRequest::with_fingerprint`] request for the
-    /// mutated graph is a cache hit — no from-scratch recolor.
+    /// A caller that mutated a graph and *repaired* the cached coloring
+    /// itself calls this with the old cache key, the new key (same
+    /// colorer/seed/devices/budget tag, `graph_fp` advanced along the
+    /// version lineage via [`crate::cache::lineage_fingerprint`]), and
+    /// the repaired, already re-verified response. The entry is inserted
+    /// under the new key, so the next [`ColorRequest::with_fingerprint`]
+    /// request for the mutated graph is a cache hit — no from-scratch
+    /// recolor. [`ServiceHandle::repair`] does all of this on a worker.
     ///
     /// The caller owns the proof obligations: `response.coloring` must
     /// be proper on the *new* graph, and `new_key.graph_fp` must
@@ -319,16 +337,44 @@ impl ServiceHandle {
         new_key: CacheKey,
         response: ColorResponse,
     ) -> bool {
-        let had_old = self.cache.get(old_key).is_some();
-        let mut stored = response;
-        // Stored entries are canonical misses; `cache_hit` is set on get.
-        stored.cache_hit = false;
-        self.cache.insert(new_key, Arc::new(stored));
-        if had_old {
-            self.stats.on_revalidated();
-            gc_telemetry::instant("cache_revalidated", &[]);
+        revalidate(&self.cache, &self.stats, old_key, new_key, response)
+    }
+
+    /// Repairs `stored` — a coloring the service returned for the graph
+    /// before a mutation — on a worker, so the mutated graph keeps its
+    /// coloring without a from-scratch recolor.
+    ///
+    /// `graph` is the mutated graph and `fingerprint` its lineage
+    /// fingerprint. `frontier` must hold both endpoints of every edge
+    /// the mutation inserted (the `repair_frontier` contract; the
+    /// `touched` set of `gc_graph::apply_edge_delta` satisfies it). The
+    /// worker runs `gc_core::repair::repair_frontier` on a fresh device,
+    /// verifies the result proper, and carries the cache entry from
+    /// `stored.key` to the advanced key (see
+    /// [`ServiceHandle::revalidate_cached`]).
+    ///
+    /// Blocks while the admission queue is full, like [`Self::submit`]:
+    /// a repair is never shed. Only the revalidated counter moves. An
+    /// improper result is [`ServiceError::ImproperColoring`] and leaves
+    /// the cache untouched.
+    pub fn repair(
+        &self,
+        stored: ColorResponse,
+        graph: Arc<Csr>,
+        fingerprint: u64,
+        frontier: Vec<VertexId>,
+    ) -> Result<Repaired, ServiceError> {
+        let (reply, rx) = sync_channel(1);
+        let item = Box::new(RepairItem {
+            stored,
+            graph,
+            fingerprint,
+            frontier,
+        });
+        if self.tx.send(Job::Repair(item, reply)).is_err() {
+            return Err(ServiceError::ShuttingDown);
         }
-        had_old
+        rx.recv().unwrap_or(Err(ServiceError::ShuttingDown))
     }
 
     fn package(&self, request: ColorRequest) -> (WorkItem, ResponseTicket) {
@@ -342,12 +388,33 @@ impl ServiceHandle {
     }
 }
 
+/// Inserts `response` under `new_key` and reports whether `old_key`
+/// was still cached (only then does the revalidated counter move).
+fn revalidate(
+    cache: &ResultCache,
+    stats: &ServiceStats,
+    old_key: &CacheKey,
+    new_key: CacheKey,
+    response: ColorResponse,
+) -> bool {
+    let had_old = cache.get(old_key).is_some();
+    let mut stored = response;
+    // Stored entries are canonical misses; `cache_hit` is set on get.
+    stored.cache_hit = false;
+    stored.key = new_key.clone();
+    cache.insert(new_key, Arc::new(stored));
+    if had_old {
+        stats.on_revalidated();
+        gc_telemetry::instant("cache_revalidated", &[]);
+    }
+    had_old
+}
+
 fn worker_loop(
     rx: SharedReceiver,
     stats: Arc<ServiceStats>,
     cache: ResultCache,
     tracer: Option<gc_telemetry::Tracer>,
-    pool_buffers: bool,
     devices: usize,
 ) {
     // Install the tracer once per worker: each worker gets its own lane
@@ -355,12 +422,6 @@ fn worker_loop(
     // the colorer's iteration spans and the device's kernel events —
     // lands on it.
     let _tracing = tracer.as_ref().map(|t| t.make_current());
-    // Opt this worker into the device-buffer pool: every request after
-    // the first for a given graph shape reuses the previous request's
-    // allocations instead of fresh host allocations.
-    if pool_buffers {
-        gc_vgpu::pool::enable_for_thread();
-    }
     loop {
         // Hold the receiver lock only for the dequeue itself so other
         // workers can pull jobs while this one colors.
@@ -368,16 +429,75 @@ fn worker_loop(
             let guard = rx.lock().unwrap();
             guard.recv()
         };
-        let item = match job {
-            Ok(Job::Work(item)) => item,
+        // A dropped reply channel just means the caller stopped waiting.
+        match job {
+            Ok(Job::Work(item)) => {
+                let outcome = handle_job(&item, &stats, &cache, devices);
+                let _ = item.reply.send(outcome);
+            }
+            Ok(Job::Repair(item, reply)) => {
+                let _ = reply.send(handle_repair(*item, &stats, &cache));
+            }
             // Poison pill, or the whole service (and its receiver
             // keep-alive) was dropped: exit.
             Ok(Job::Stop) | Err(_) => return,
-        };
-        let outcome = handle_job(&item, &stats, &cache, devices);
-        // A dropped ticket just means the caller stopped waiting.
-        let _ = item.reply.send(outcome);
+        }
     }
+}
+
+/// Runs one repair job: the speculate-recolor loop on a fresh device,
+/// host verification, and the cache carry to the advanced key.
+fn handle_repair(
+    item: RepairItem,
+    stats: &ServiceStats,
+    cache: &ResultCache,
+) -> Result<Repaired, ServiceError> {
+    let RepairItem {
+        stored,
+        graph,
+        fingerprint,
+        frontier,
+    } = item;
+    let mut span = gc_telemetry::span("repair");
+    span.attr("frontier", frontier.len());
+
+    let mut colors = stored.coloring.as_slice().to_vec();
+    let dev = gc_vgpu::Device::k40c();
+    let outcome = repair_frontier(&dev, &graph, &mut colors, &frontier, MAX_REPAIR_ROUNDS);
+    let thread_executions = dev.profile().thread_executions;
+    let verified = {
+        let _verify = gc_telemetry::span("verify");
+        is_proper(&graph, &colors)
+    };
+    if let Err(v) = verified {
+        span.attr("outcome", "improper");
+        return Err(ServiceError::ImproperColoring(v));
+    }
+
+    let old_key = stored.key.clone();
+    let new_key = CacheKey {
+        graph_fp: fingerprint,
+        ..stored.key.clone()
+    };
+    let coloring = Coloring::new(colors);
+    let response = ColorResponse {
+        num_colors: coloring.num_colors(),
+        coloring,
+        cache_hit: false,
+        verified: true,
+        key: new_key.clone(),
+        ..stored
+    };
+    let revalidated = {
+        let _insert = gc_telemetry::span("cache_insert");
+        revalidate(cache, stats, &old_key, new_key, response.clone())
+    };
+    Ok(Repaired {
+        response,
+        outcome,
+        thread_executions,
+        revalidated,
+    })
 }
 
 fn handle_job(
@@ -563,6 +683,7 @@ fn handle_job(
             colors_after: 0,
             reduction_passes: 0,
             metrics,
+            key: base_key.clone(),
         };
         if reduce_budget_ms.is_some() {
             // Prime the base entry so the next MinColors request (any
@@ -605,9 +726,10 @@ fn handle_job(
         }
     }
 
+    resp.key = key;
     {
         let _insert = gc_telemetry::span("cache_insert");
-        cache.insert(key, Arc::new(resp.clone()));
+        cache.insert(resp.key.clone(), Arc::new(resp.clone()));
     }
     stats.on_served(colorer.name(), resp.model_ms, false);
     if req_span.is_recording() {
@@ -724,6 +846,105 @@ mod tests {
         assert!(second.cache_hit, "revalidated entry must hit");
         assert_eq!(svc.stats().revalidated, 1);
         svc.shutdown();
+    }
+
+    #[test]
+    fn repair_job_carries_a_min_colors_entry_across_a_mutation() {
+        use crate::cache::lineage_fingerprint;
+        use gc_graph::{apply_edge_delta, EdgeDelta};
+
+        let svc = ColoringService::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let h = svc.handle();
+        let g = mesh();
+        let base_fp = graph_fingerprint(&g);
+        let min_colors = Objective::MinColors { budget_ms: 50 };
+
+        // A MinColors run is stored under its budget-tagged key and
+        // primes the base colorer's entry under the base key.
+        let stored = h
+            .color(ColorRequest::new(Arc::clone(&g), min_colors.clone()).with_fingerprint(base_fp))
+            .unwrap();
+        let tagged = CacheKey {
+            graph_fp: base_fp,
+            colorer: stored.colorer,
+            seed: 0,
+            devices: 1,
+            reduce_budget_ms: Some(50),
+        };
+        assert_eq!(stored.key, tagged);
+        let base = h
+            .color(
+                ColorRequest::new(Arc::clone(&g), Objective::Explicit(stored.colorer.into()))
+                    .with_fingerprint(base_fp),
+            )
+            .unwrap();
+        assert!(base.cache_hit);
+        assert_eq!(
+            base.key,
+            CacheKey {
+                reduce_budget_ms: None,
+                ..tagged.clone()
+            }
+        );
+
+        // Insert an edge between two same-colored vertices, so the
+        // repair has a real conflict to resolve.
+        let colors = stored.coloring.as_slice();
+        let v = (2..g.num_vertices() as u32)
+            .find(|&v| colors[v as usize] == colors[0] && !g.neighbors(0).contains(&v))
+            .expect("a non-neighbor sharing vertex 0's color");
+        let delta = EdgeDelta {
+            insert: vec![(0, v)],
+            delete: vec![],
+        };
+        let out = apply_edge_delta(&g, &delta).unwrap();
+        let mutated = Arc::new(out.graph);
+        let new_fp = lineage_fingerprint(base_fp, &delta);
+
+        let before = svc.stats();
+        let repaired = h
+            .repair(stored.clone(), Arc::clone(&mutated), new_fp, out.touched)
+            .unwrap();
+        let after = svc.stats();
+        assert!(is_proper(&mutated, repaired.response.coloring.as_slice()).is_ok());
+        assert!(repaired.response.verified);
+        assert_eq!(repaired.outcome.initial_conflicts, 1);
+        assert!(repaired.outcome.rounds >= 1 && repaired.outcome.clean);
+        assert!(repaired.thread_executions > 0);
+        assert!(repaired.revalidated, "the tagged entry was cached");
+        assert_eq!(
+            repaired.response.key,
+            CacheKey {
+                graph_fp: new_fp,
+                ..tagged
+            }
+        );
+        // Only the revalidated counter moves.
+        assert_eq!(after.revalidated, before.revalidated + 1);
+        assert_eq!(after.submitted, before.submitted);
+        assert_eq!(after.served, before.served);
+        assert_eq!(after.failed, before.failed);
+
+        // The next Color on the new lineage is a hit on the repaired
+        // coloring.
+        let next = h
+            .color(ColorRequest::new(mutated, min_colors).with_fingerprint(new_fp))
+            .unwrap();
+        assert!(next.cache_hit);
+        assert_eq!(
+            next.coloring.as_slice(),
+            repaired.response.coloring.as_slice()
+        );
+        svc.shutdown();
+
+        // After shutdown a repair fails instead of hanging.
+        let err = h
+            .repair(stored, Arc::new(cycle(4)), 0, vec![0])
+            .unwrap_err();
+        assert_eq!(err, ServiceError::ShuttingDown);
     }
 
     #[test]
@@ -979,32 +1200,6 @@ mod tests {
         assert_eq!(resp.devices, 1, "CPU colorers have no devices to shard");
         assert_eq!(resp.halo_bytes, 0);
         svc.shutdown();
-    }
-
-    #[test]
-    fn workers_reuse_pooled_buffers_across_requests() {
-        let before = gc_vgpu::pool::stats();
-        let svc = ColoringService::start(ServiceConfig {
-            workers: 1,
-            cache_capacity: 0, // force the second request to really run
-            ..ServiceConfig::default()
-        });
-        let h = svc.handle();
-        let g = mesh();
-        h.color(ColorRequest::new(Arc::clone(&g), Objective::Fastest))
-            .unwrap();
-        // Same shape, different seed: the colorer re-allocates the same
-        // buffer sizes, which must now come out of the worker's pool.
-        h.color(ColorRequest::new(g, Objective::Fastest).with_seed(1))
-            .unwrap();
-        svc.shutdown();
-        let after = gc_vgpu::pool::stats();
-        assert!(
-            after.hits > before.hits,
-            "second request should reuse pooled buffers ({} -> {})",
-            before.hits,
-            after.hits
-        );
     }
 
     #[test]

@@ -82,14 +82,11 @@ use gc_vgpu::{Device, DeviceBuffer, ProfileReport, TransferEvent};
 // callers that reach it through the sharding layer.
 pub use gc_core::repair::{greedy_repair_host, repair_frontier, RepairOutcome};
 
-/// Hard cap on conflict-resolution rounds. The loop terminates on its
-/// own (every monochromatic cluster's largest vertex recolors each
-/// round), but the cap bounds the worst case; if it is ever hit, the
+/// Hard cap on conflict-resolution rounds: the one repair round cap,
+/// [`gc_core::repair::MAX_REPAIR_ROUNDS`]. If it is ever hit, the
 /// remaining handful of boundary conflicts are fixed by a deterministic
 /// host-side greedy pass and the run still returns a verified coloring.
-/// `bench-check` rejects any benchmark row whose `conflict_rounds`
-/// exceeds this bound.
-pub const MAX_CONFLICT_ROUNDS: u32 = 64;
+pub use gc_core::repair::MAX_REPAIR_ROUNDS as MAX_CONFLICT_ROUNDS;
 
 /// How to shard a coloring run.
 #[derive(Clone, Debug)]

@@ -32,9 +32,10 @@ impl<T: Scalar> DeviceBuffer<T> {
 
     /// A buffer with every element set to `v`.
     ///
-    /// When the calling thread has the buffer pool enabled (see
-    /// [`crate::pool`]), same-shaped storage released by an earlier drop
-    /// is reused instead of reallocated; reuse re-initializes every cell.
+    /// While the calling thread holds a pool lease (see
+    /// [`crate::pool::lease`]), same-shaped storage released by an
+    /// earlier drop is reused instead of reallocated; reuse
+    /// re-initializes every cell.
     pub fn filled(len: usize, v: T) -> Self {
         if let Some(cells) = pool::claim::<T::Atomic>(len) {
             for c in cells.iter() {

@@ -1,18 +1,19 @@
-//! Per-thread device-buffer pooling.
+//! Per-thread device-buffer pooling, scoped to a [`lease`].
 //!
-//! A coloring allocates the same handful of buffer shapes every run
-//! (colors, weights, frontier scratch — all sized by the graph). A
-//! service worker that colors same-sized graphs back to back therefore
-//! pays a malloc/free round trip per buffer per request for storage it
-//! just released. This module gives each thread an opt-in free list:
-//! while enabled, dropping a [`crate::DeviceBuffer`] shelves its cell
-//! storage keyed by `(element type, length)`, and the next same-shaped
-//! allocation reuses it (re-initialized, so `zeroed` still means zeroed).
+//! A coloring allocates the same handful of buffer shapes every
+//! iteration (contraction outputs, proposal mirrors, frontier scratch —
+//! all sized by the graph). A colorer that takes a [`lease`] for its run
+//! therefore gets a thread-local free list: while the lease lives,
+//! dropping a [`crate::DeviceBuffer`] shelves its cell storage keyed by
+//! `(element type, length)`, and the next same-shaped allocation reuses
+//! it (re-initialized, so `zeroed` still means zeroed). When the lease
+//! drops, everything shelved is freed.
 //!
-//! Pooling is per-thread by design — the service's workers each own a
-//! device and a thread, so their pools need no locking and die with the
-//! worker. Nothing changes for threads that never call
-//! [`enable_for_thread`]: allocation and drop behave exactly as before.
+//! The lease is the only pooling scope. Nothing is shelved across runs:
+//! the shelves are keyed by exact length with no bound on the number of
+//! lengths, so a thread-lifetime pool would keep one buffer per graph
+//! size it ever saw. Threads outside a lease allocate and drop exactly
+//! as without this module.
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -27,6 +28,13 @@ const MAX_PER_SHAPE: usize = 8;
 
 thread_local! {
     static POOL: RefCell<Option<Shelf>> = const { RefCell::new(None) };
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The calling thread's share of [`HITS`], so a test can assert on
+    /// its own traffic while sibling tests pool on other threads.
+    static THREAD_HITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 // Fleet-wide counters (all threads) so callers can observe pooling
@@ -47,7 +55,7 @@ pub struct PoolStats {
 }
 
 /// Snapshot of the global pooling counters. Counters only move while
-/// some thread has pooling enabled, and only ever increase.
+/// some thread holds a [`lease`], and only ever increase.
 pub fn stats() -> PoolStats {
     PoolStats {
         hits: HITS.load(Ordering::Relaxed),
@@ -56,9 +64,8 @@ pub fn stats() -> PoolStats {
     }
 }
 
-/// Turns pooling on for the calling thread (idempotent). Service workers
-/// call this once at startup so buffers recycle across requests.
-pub fn enable_for_thread() {
+/// Turns pooling on for the calling thread (idempotent).
+fn enable_for_thread() {
     POOL.with(|p| {
         let mut guard = p.borrow_mut();
         if guard.is_none() {
@@ -69,12 +76,12 @@ pub fn enable_for_thread() {
 
 /// Turns pooling off for the calling thread and frees everything
 /// shelved on it.
-pub fn disable_for_thread() {
+fn disable_for_thread() {
     POOL.with(|p| *p.borrow_mut() = None);
 }
 
 /// Whether the calling thread currently pools buffers.
-pub fn enabled_for_thread() -> bool {
+fn enabled_for_thread() -> bool {
     POOL.with(|p| p.borrow().is_some())
 }
 
@@ -83,10 +90,9 @@ pub fn enabled_for_thread() -> bool {
 ///
 /// This is how a colorer opts its per-iteration scratch (contraction
 /// outputs, proposal mirrors, captured-pipeline temporaries) into reuse
-/// without changing behavior for the rest of the thread: if pooling was
-/// already on — a service worker — the lease is a no-op and the worker's
-/// long-lived pool keeps going; otherwise the pool (and its shelved
-/// storage) dies with the lease.
+/// without changing behavior for the rest of the thread: the pool (and
+/// its shelved storage) dies with the outermost lease, and a nested
+/// lease is a no-op that leaves the outer one's pool running.
 #[must_use = "the lease enables pooling only while it is alive"]
 #[derive(Debug)]
 pub struct PoolLease {
@@ -121,6 +127,8 @@ pub(crate) fn claim<A: Any>(len: usize) -> Option<Box<[A]>> {
         match shelf.get_mut(&(TypeId::of::<A>(), len)).and_then(Vec::pop) {
             Some(stored) => {
                 HITS.fetch_add(1, Ordering::Relaxed);
+                #[cfg(test)]
+                THREAD_HITS.with(|h| h.set(h.get() + 1));
                 Some(*stored.downcast::<Box<[A]>>().expect("shelf shape key"))
             }
             None => {
@@ -192,17 +200,26 @@ mod tests {
         });
     }
 
+    /// This thread's hits only: the global counters also move with
+    /// the sibling tests running on other threads.
+    fn thread_stats() -> PoolStats {
+        PoolStats {
+            hits: THREAD_HITS.with(|h| h.get()),
+            ..PoolStats::default()
+        }
+    }
+
     #[test]
     fn different_shapes_do_not_cross() {
         on_fresh_thread(|| {
             enable_for_thread();
             drop(DeviceBuffer::<u32>::zeroed(100));
-            let before = stats();
+            let before = thread_stats();
             // Same length, different element type: no hit.
             let _ = DeviceBuffer::<i64>::zeroed(100);
             // Same type, different length: no hit.
             let _ = DeviceBuffer::<u32>::zeroed(101);
-            let after = stats();
+            let after = thread_stats();
             assert_eq!(after.hits, before.hits);
             disable_for_thread();
         });

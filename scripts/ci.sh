@@ -26,8 +26,9 @@ fi
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> perfbench build (its own workspace; the root cargo test never compiles it)"
+echo "==> perfbench build and tests (its own workspace; the root cargo test never compiles it)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "==> observability smoke: repro trace on a small graph"
 trace_dir="$(mktemp -d)"
